@@ -4,6 +4,8 @@ corpus ingestion from hex dumps or legacy pcap captures.
 
 from __future__ import annotations
 
+import csv
+import io
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -177,6 +179,11 @@ class ModeComparison:
         return compute_savings(self.classic_size, self.sizes[mode])
 
 
+_COMPREF11_EXTRA = cbor.head_size(dnscbor.REF_TAG_1PLUS1) - cbor.head_size(
+    dnscbor.REF_TAG_1PLUS0
+)
+
+
 def compare_modes(
     msg: DnsMessage,
     request: DnsMessage | None = None,
@@ -197,10 +204,12 @@ def compare_modes(
 
     classic_size = len(encode_wire(msg, compress=True))
     plain = dnscbor.encode_message(msg, ctx(None))
+    compref10 = dnscbor.encode_message(msg, ctx(ComponentRef.one_plus_zero()))
     sizes = {
         "unpacked": len(plain.data),
-        "compref10": len(dnscbor.encode_message(msg, ctx(ComponentRef.one_plus_zero())).data),
-        "compref11": len(dnscbor.encode_message(msg, ctx(ComponentRef.one_plus_one())).data),
+        "compref10": len(compref10.data),
+        # 1+1 differs from 1+0 only in the width of each reference tag's head.
+        "compref11": len(compref10.data) + compref10.references * _COMPREF11_EXTRA,
         "packedlite": len(dnspacked.pack(plain.item, dnspacked.PACKED_LITE).encode()),
         "packedfull": len(dnspacked.pack(plain.item, dnspacked.PACKED_FULL).encode()),
     }
@@ -424,24 +433,26 @@ SUFFIX_CSV_COLUMNS = (
 
 
 def write_suffix_csv(stats_per_message: Iterable[MessagePairStats]) -> str:
-    lines = [SUFFIX_CSV_COLUMNS]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(SUFFIX_CSV_COLUMNS.split(","))
     for index, stats in enumerate(stats_per_message):
         for pair in stats.name_pairs:
-            lines.append(
-                "%d,name,%s,%s,%d,%d,%d,,%d"
-                % (
+            writer.writerow(
+                [
                     index,
+                    "name",
                     pair.a.to_text(),
                     pair.b.to_text(),
                     pair.bytewise,
                     pair.component_labels,
                     pair.component_bytes,
+                    "",
                     1 if pair.equal else 0,
-                )
+                ]
             )
         for pair in stats.address_pairs:
-            lines.append(
-                "%d,address,%s,%s,,,,%d,"
-                % (index, pair.a.hex(), pair.b.hex(), pair.common_prefix)
+            writer.writerow(
+                [index, "address", pair.a.hex(), pair.b.hex(), "", "", "", pair.common_prefix, ""]
             )
-    return "\n".join(lines) + "\n"
+    return buffer.getvalue()

@@ -189,7 +189,8 @@ def _head(major: int, argument: int) -> bytes:
     raise CborError("argument exceeds 64 bits: %d" % argument)
 
 
-def _head_size(argument: int) -> int:
+def head_size(argument: int) -> int:
+    """Length of the shortest-form head carrying ``argument``."""
     if argument < 24:
         return 1
     if argument <= 0xFF:
@@ -309,28 +310,28 @@ def _item_size(item: CborItem, opts: EncodeOptions, depth: int) -> int:
     if depth < 0:
         raise DepthExceeded("item tree deeper than %d" % opts.max_depth)
     if isinstance(item, Uint):
-        return _head_size(item.value)
+        return head_size(item.value)
     if isinstance(item, Nint):
-        return _head_size(item.n)
+        return head_size(item.n)
     if isinstance(item, Bytes):
-        return _head_size(len(item.data)) + len(item.data)
+        return head_size(len(item.data)) + len(item.data)
     if isinstance(item, Text):
         try:
             n = len(item.data.encode("utf-8"))
         except UnicodeEncodeError as exc:
             raise InvalidUtf8(str(exc)) from exc
-        return _head_size(n) + n
+        return head_size(n) + n
     if isinstance(item, Array):
-        return _head_size(len(item.items)) + sum(
+        return head_size(len(item.items)) + sum(
             _item_size(c, opts, depth - 1) for c in item.items
         )
     if isinstance(item, Map):
-        return _head_size(len(item.entries)) + sum(
+        return head_size(len(item.entries)) + sum(
             _item_size(k, opts, depth - 1) + _item_size(v, opts, depth - 1)
             for k, v in item.entries
         )
     if isinstance(item, Tag):
-        return _head_size(item.number) + _item_size(item.content, opts, depth - 1)
+        return head_size(item.number) + _item_size(item.content, opts, depth - 1)
     if isinstance(item, (Bool, Null, Undefined)):
         return 1
     if isinstance(item, Simple):

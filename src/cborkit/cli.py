@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import statistics
 import sys
@@ -202,15 +203,21 @@ def _cmd_json_analyze(args) -> int:
     for path in sorted(directory.glob("*.json")):
         try:
             value = jsonbridge.parse_json(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, jsonbridge.JsonBridgeError) as exc:
+            minified = len(jsonbridge.minify(value).encode("utf-8"))
+            item = jsonbridge.json_to_cbor(value, args.float_mode)
+            encoded = cbor.item_size(item, EncodeOptions(float_mode=args.float_mode))
+            report = taxonomy.compute_savings(minified, encoded)
+            record = taxonomy.classify(item, minified)
+        except (
+            OSError,
+            UnicodeDecodeError,
+            jsonbridge.JsonBridgeError,
+            cbor.CborError,
+            taxonomy.TaxonomyError,
+        ) as exc:
             print("skip %s: %s" % (path.name, exc), file=sys.stderr)
             failures += 1
             continue
-        minified = len(jsonbridge.minify(value).encode("utf-8"))
-        item = jsonbridge.json_to_cbor(value, args.float_mode)
-        encoded = cbor.item_size(item, EncodeOptions(float_mode=args.float_mode))
-        report = taxonomy.compute_savings(minified, encoded)
-        record = taxonomy.classify(item, minified)
         writer.writerow(
             [
                 path.name,
@@ -297,8 +304,10 @@ def _cmd_dns_compare(args) -> int:
             (record.message, query.message if query else None, args.query_answers)
         )
     if args.parallel > 1:
+        # About four chunks per worker: few IPC round trips, even load.
+        chunksize = max(1, len(tasks) // (4 * args.parallel))
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_compare_one, tasks))
+            results = list(pool.map(_compare_one, tasks, chunksize=chunksize))
     else:
         results = [_compare_one(task) for task in tasks]
     rows = []
@@ -508,10 +517,16 @@ _INPUT_ERRORS = (
 )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once: no argument has a mutable default or an accumulating
+    # action, so parsing leaves the tree unchanged between calls.
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -178,6 +178,7 @@ class EncodedMessage:
     item: CborItem
     dropped_answers: int = 0
     question_elided: bool = False
+    references: int = 0  # component reference tags emitted
 
     def __bytes__(self) -> bytes:
         return self.data
@@ -195,6 +196,7 @@ class _Encoder:
         self.ctx = ctx
         self.index = ComponentIndex()
         self.question_emitted = False
+        self.references = 0
 
     def name_items(self, name: Name) -> list[CborItem]:
         mode = self.ctx.mode
@@ -208,6 +210,7 @@ class _Encoder:
         items: list[CborItem] = [Text(c) for c in components[:literal_count]]
         if ref is not None:
             items.append(Tag(mode.tag, Uint(ref)))
+            self.references += 1
         self.index.register_name(components, literal_count)
         return items
 
@@ -339,6 +342,7 @@ def message_to_item(msg: DnsMessage, ctx: CodecContext) -> EncodedMessage:
         item=Array(outer),
         dropped_answers=dropped,
         question_elided=question_elided,
+        references=encoder.references,
     )
 
 

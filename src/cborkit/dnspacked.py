@@ -4,9 +4,10 @@
 tree: exact duplicate scalars (full mode), text suffixes at dot
 boundaries shared by two or more strings (both modes), and byte-string
 prefixes of three or more bytes shared by two or more strings (full
-mode).  A candidate is admitted while its net saving stays positive,
+mode; the longest common prefixes of neighbours in sorted order).  A
+candidate is admitted while its net saving stays positive,
 
-    saving = sum over occurrences (occurrence size - reference size)
+    saving = sum over unrewritten occurrences (occurrence size - reference size)
              - table entry size,
 
 largest saving first, ties broken by first occurrence in preorder; a
@@ -16,12 +17,29 @@ suffixes ``tag 216 [head, i]``, prefixes ``tag 217 [i, tail]``.  The
 envelope ``tag 113 [table, rump]`` is emitted even when the table is
 empty, so the no-redundancy penalty is exactly the four envelope bytes.
 
+Selection is lazy (Minoux's accelerated greedy) and sizes come from
+arithmetic on head sizes, not from building references.  An occurrence's
+term in the saving is its gain (its size less the index-free part of its
+reference, computed once) less the bytes of the index, which never
+shrink as the table grows.  So a saving only falls as the index grows,
+and as occurrences with a non-negative term are rewritten by other
+entries.  Candidates sit in a max-heap keyed on (-saving, candidate
+order) whose keys are upper bounds: the top is recomputed, admitted if
+its saving is unchanged, and pushed back otherwise.  The one way a
+saving can rise is the rewrite of an occurrence whose term is negative;
+the candidates holding it are then pushed again with a fresh key.  (The
+gains of one candidate differ only by head-width steps, so that needs
+strings near 64 KiB.)  This picks the same entries, in the same order,
+as rescanning every candidate on every admission.
+
 Lite mode keeps only the text-suffix candidates, so its table is all
 text strings.  Tag and envelope numbers are defaults, not assignments.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import cbor
@@ -136,20 +154,87 @@ def _dot_suffixes(text: str) -> list[tuple[str, str]]:
     return splits
 
 
+def _utf8_len(text: str) -> int:
+    try:
+        return len(text.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise cbor.InvalidUtf8(str(exc)) from exc
+
+
+def _string_size(n: int) -> int:
+    return cbor.head_size(n) + n
+
+
 class _Candidate:
-    __slots__ = ("kind", "entry", "occurrences", "first")
+    __slots__ = (
+        "kind", "entry", "occurrences", "first", "admitted",
+        "entry_size", "gains", "gain_sum", "live",
+    )
 
     def __init__(self, kind: str, entry: CborItem, occurrences: dict[int, CborItem]):
         self.kind = kind  # "value" | "suffix" | "prefix"
         self.entry = entry
         self.occurrences = occurrences  # position -> original item there
         self.first = min(occurrences)
+        self.admitted = False
+
+    def order_key(self) -> tuple:
+        # Earliest occurrence, then kind, then the entry's encoding.  Within
+        # one kind the entries share a major type, and shortest-form heads
+        # grow with the length, so the encodings order as (payload length,
+        # payload).  Whole values never share a first position.
+        data = getattr(self.entry, "data", b"")
+        if isinstance(data, str):
+            data = data.encode("utf-8", "surrogatepass")
+        return (self.first, self.kind, len(data), data)
+
+    def price(self, opts: PackOptions) -> None:
+        """Per occurrence, the bytes a reference saves before its index
+        is paid for: the original's size less the rest of the reference."""
+        self.entry_size = cbor.item_size(self.entry)
+        if self.kind == "value":
+            self.gains = dict.fromkeys(self.occurrences, self.entry_size)
+        else:
+            # tag [head, index] or tag [index, tail]: the tag's head, the
+            # array's head and the unshared rest of the string.
+            tag = opts.suffix_tag if self.kind == "suffix" else opts.prefix_tag
+            length = _utf8_len if self.kind == "suffix" else len
+            fixed = cbor.head_size(tag) + 1
+            shared = length(self.entry.data)  # type: ignore[union-attr]
+            self.gains = {}
+            for pos, original in self.occurrences.items():
+                n = length(original.data)  # type: ignore[union-attr]
+                self.gains[pos] = _string_size(n) - fixed - _string_size(n - shared)
+        self.gain_sum = sum(self.gains.values())
+        self.live = len(self.gains)
+
+    def saving(self, index: int, opts: PackOptions) -> int:
+        """Net saving of admitting this entry at ``index`` now."""
+        return self.gain_sum - self.live * _ref_index_size(self.kind, index, opts) - self.entry_size
+
+
+def _ref_index_size(kind: str, index: int, opts: PackOptions) -> int:
+    """Bytes a reference to table ``index`` spends on the index itself."""
+    if kind != "value":
+        return cbor.head_size(index)
+    if index < opts.simple_ref_limit:
+        return 1 if index < 24 else 2  # Simple(index)
+    return cbor.head_size(opts.value_tag) + cbor.head_size(index - opts.simple_ref_limit)
 
 
 def _value_ref(index: int, opts: PackOptions) -> CborItem:
     if index < opts.simple_ref_limit:
         return Simple(index)
     return Tag(opts.value_tag, Uint(index - opts.simple_ref_limit))
+
+
+def _common_prefix_len(a: bytes, b: bytes) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
 
 
 def _candidates(item: CborItem, mode: str, opts: PackOptions) -> list[_Candidate]:
@@ -173,29 +258,32 @@ def _candidates(item: CborItem, mode: str, opts: PackOptions) -> list[_Candidate
         if len(occs) >= 2:
             out.append(_Candidate("suffix", Text(suffix), occs))
     if mode == PACKED_FULL:
-        strings = [
-            (pos, node.data)
+        # In sorted order the longest common prefix of any two strings is
+        # the shortest of the neighbour prefixes between them, and that
+        # neighbour pair shares exactly it; so the neighbour prefixes are
+        # all the pairwise ones, and the strings that start with one of
+        # them form a run that begins where the prefix itself would sort.
+        strings = sorted(
+            (node.data, pos)
             for pos, node in enumerate(positions)
             if isinstance(node, Bytes) and len(node.data) >= opts.min_prefix_len
-        ]
+        )
+        datas = [data for data, _ in strings]
         prefixes: set[bytes] = set()
-        for i in range(len(strings)):
-            for j in range(i + 1, len(strings)):
-                a, b = strings[i][1], strings[j][1]
-                n = 0
-                for x, y in zip(a, b):
-                    if x != y:
-                        break
-                    n += 1
-                if n >= opts.min_prefix_len:
-                    prefixes.add(a[:n])
+        for a, b in zip(datas, datas[1:]):
+            n = _common_prefix_len(a, b)
+            if n >= opts.min_prefix_len:
+                prefixes.add(a[:n])
         for prefix in prefixes:
-            occs = {pos: positions[pos] for pos, data in strings if data.startswith(prefix)}
-            if len(occs) >= 2:
-                out.append(_Candidate("prefix", Bytes(prefix), occs))
-    # Deterministic ordering independent of hash seeds: earliest occurrence,
-    # then a canonical rendering of the entry.
-    out.sort(key=lambda c: (c.first, c.kind, cbor.encode(c.entry)))
+            occs: dict[int, CborItem] = {}
+            for k in range(bisect_left(datas, prefix), len(datas)):
+                if not datas[k].startswith(prefix):
+                    break
+                pos = strings[k][1]
+                occs[pos] = positions[pos]
+            out.append(_Candidate("prefix", Bytes(prefix), occs))
+    # Deterministic ordering independent of hash seeds.
+    out.sort(key=_Candidate.order_key)
     return out
 
 
@@ -209,42 +297,54 @@ def _reference_item(cand: _Candidate, original: CborItem, index: int, opts: Pack
     return Tag(opts.prefix_tag, Array([Uint(index), Bytes(tail)]))
 
 
-def _net_saving(cand: _Candidate, index: int, consumed: set[int], opts: PackOptions) -> int:
-    saving = -cbor.item_size(cand.entry)
-    for pos, original in cand.occurrences.items():
-        if pos in consumed:
-            continue
-        saving += cbor.item_size(original) - cbor.item_size(
-            _reference_item(cand, original, index, opts)
-        )
-    return saving
-
-
 def pack(item: CborItem, mode: str = PACKED_FULL, opts: PackOptions = PackOptions()) -> PackedEnvelope:
     if mode not in (PACKED_FULL, PACKED_LITE):
         raise DnsPackedError("unknown packing mode %r" % mode)
     _scan_references(item, opts)
     candidates = _candidates(item, mode, opts)
+    holders: dict[int, list[int]] = {}  # position -> candidates holding it
+    for order, cand in enumerate(candidates):
+        cand.price(opts)
+        for pos in cand.occurrences:
+            holders.setdefault(pos, []).append(order)
+    # Each live candidate keeps a heap entry whose key is no lower than
+    # its saving (see the module docstring), so a top whose recomputed
+    # saving still equals its key beats every other candidate, ties going
+    # to the earlier one.
+    heap = [(-cand.saving(0, opts), order) for order, cand in enumerate(candidates)]
+    heapq.heapify(heap)
     table: list[CborItem] = []
-    consumed: set[int] = set()
     rewrites: dict[int, CborItem] = {}
-    while candidates:
+    while heap and heap[0][0] < 0:
+        key, order = heap[0]
+        cand = candidates[order]
+        if cand.admitted:
+            heapq.heappop(heap)
+            continue
         index = len(table)
-        best = None
-        best_saving = 0
-        for cand in candidates:
-            saving = _net_saving(cand, index, consumed, opts)
-            if saving > best_saving:
-                best, best_saving = cand, saving
-        if best is None:
-            break
-        table.append(best.entry)
-        for pos, original in best.occurrences.items():
-            if pos in consumed:
+        saving = cand.saving(index, opts)
+        if saving != -key:
+            heapq.heapreplace(heap, (-saving, order))
+            continue
+        heapq.heappop(heap)
+        cand.admitted = True
+        table.append(cand.entry)
+        next_index = index + 1
+        risen: set[int] = set()
+        for pos, original in cand.occurrences.items():
+            if pos in rewrites:
                 continue
-            rewrites[pos] = _reference_item(best, original, index, opts)
-            consumed.add(pos)
-        candidates.remove(best)
+            rewrites[pos] = _reference_item(cand, original, index, opts)
+            for other in holders[pos]:
+                holder = candidates[other]
+                gain = holder.gains[pos]
+                holder.gain_sum -= gain
+                holder.live -= 1
+                if gain < _ref_index_size(holder.kind, next_index, opts):
+                    risen.add(other)
+        for other in risen:
+            if not candidates[other].admitted:
+                heapq.heappush(heap, (-candidates[other].saving(next_index, opts), other))
     rump = _rebuild(item, rewrites, [0])
     return PackedEnvelope(table, rump, opts)
 

@@ -318,3 +318,20 @@ def test_crafted_redundant_suffix_message_inflates_unpacked():
     assert comparison.savings("unpacked").savings_b < 0
     # name compression recovers the loss
     assert comparison.sizes["compref10"] < comparison.sizes["unpacked"]
+
+
+def test_suffix_csv_quotes_labels_with_commas():
+    import csv
+
+    msg = DnsMessage(
+        0, 0x8180,
+        [Question(Name.from_text("a,b.com"), TYPE_A, CLASS_IN)],
+        answers=[
+            ResourceRecord(Name.from_text("a,b.com"), TYPE_A, CLASS_IN, 60, bytes(4)),
+            ResourceRecord(Name.from_text('x"y.com'), TYPE_A, CLASS_IN, 60, bytes([1, 2, 3, 4])),
+        ],
+    )
+    rows = list(csv.reader(write_suffix_csv([message_pair_stats(msg)]).splitlines()))
+    assert len(rows) == 1 + 3 + 1  # header, three name pairs, one address pair
+    assert all(len(row) == 9 for row in rows)
+    assert rows[1][2:4] == ["a,b.com", "a,b.com"]

@@ -209,3 +209,49 @@ def test_usage_errors_exit_2():
 def test_missing_file_exit_1(tmp_path):
     assert run(["cbor", "diag", "--in", str(tmp_path / "absent.bin")]) == 1
     assert run(["dns", "compare", "--in", str(tmp_path / "absent"), "--out", "x"]) == 1
+
+
+def test_dns_compare_parallel_chunks_keep_row_order(tmp_path, capsys):
+    rng = random.Random(9)
+    lines = [encode_wire(random_message(rng)).hex() for _ in range(60)]
+    two_questions = DnsMessage(7, 0x0100, [
+        Question(Name.from_text("a.org"), TYPE_A, CLASS_IN),
+        Question(Name.from_text("b.org"), TYPE_A, CLASS_IN),
+    ])
+    lines.insert(25, encode_wire(two_questions).hex())  # skipped: one question required
+    corpus = tmp_path / "corpus.hex"
+    corpus.write_text("\n".join(lines) + "\n")
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / ("w%s.csv" % workers)
+        assert run(["dns", "compare", "--in", str(corpus), "--out", str(out),
+                    "--parallel", workers]) == 0
+        assert "message 25 skipped" in capsys.readouterr().err
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1 + 60
+
+
+def test_json_analyze_skips_too_deep_file(tmp_path, capsys):
+    (tmp_path / "flat.json").write_text("[1]")
+    (tmp_path / "deep.json").write_text("[" * 200 + "]" * 200)
+    out = tmp_path / "report.csv"
+    assert run(["json", "analyze", "--in", str(tmp_path), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("flat.json,")
+    err = capsys.readouterr().err
+    assert "skip deep.json" in err and "1 file(s) skipped" in err
+
+
+def test_parser_is_reused_across_runs(tmp_path, capsys):
+    from cborkit import cli
+
+    hex_item = tmp_path / "item.hex"
+    hex_item.write_text("0c\n")
+    binary_item = tmp_path / "item.bin"
+    binary_item.write_bytes(b"\x0c")
+    assert run(["cbor", "diag", "--in", str(hex_item), "--hex"]) == 0
+    parser = cli._parser()
+    assert run(["cbor", "diag", "--in", str(binary_item)]) == 0  # --hex does not carry over
+    assert capsys.readouterr().out.split() == ["12", "12"]
+    assert cli._parser() is parser

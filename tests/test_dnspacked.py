@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_item, random_message
-from cborkit import cbor
-from cborkit.cbor import Array, Bytes, Map, Simple, Tag, Text, Uint
-from cborkit.dnscbor import CodecContext, ROLE_QUERY, ROLE_RESPONSE, encode_message
+from cborkit import cbor, dnspacked
+from cborkit.analysis import compare_modes
+from cborkit.cbor import Array, Bytes, Map, Nint, Simple, Tag, Text, Uint
+from cborkit.dnscbor import CodecContext, ComponentRef, ROLE_QUERY, ROLE_RESPONSE, encode_message
 from cborkit.dnspacked import (
     AlreadyPacked,
     ForwardReference,
@@ -223,3 +226,153 @@ def test_custom_tag_numbers():
     assert unpack(env) == item
     again = PackedEnvelope.from_bytes(env.encode(), opts)
     assert unpack(again) == item
+
+
+# --- the lazy greedy against the full-rescan greedy it replaced -----------
+
+
+def _oracle_pack(item, mode, opts=PackOptions()):
+    """The earlier packer: every admission rescans every candidate and
+    sizes every reference by building it; byte prefixes come from every
+    pair of strings."""
+    positions = []
+    dnspacked._walk(item, positions)
+    cands = []  # (kind, entry, {position: original})
+    if mode == PACKED_FULL:
+        values = {}
+        for pos, node in enumerate(positions):
+            if isinstance(node, (Text, Bytes, Uint, Nint)) and cbor.item_size(node) >= 2:
+                values.setdefault(node, {})[pos] = node
+        cands += [("value", node, occs) for node, occs in values.items() if len(occs) >= 2]
+    suffixes = {}
+    for pos, node in enumerate(positions):
+        if isinstance(node, Text) and node.data:
+            for _, suffix in dnspacked._dot_suffixes(node.data):
+                suffixes.setdefault(suffix, {})[pos] = node
+    cands += [("suffix", Text(s), occs) for s, occs in suffixes.items() if len(occs) >= 2]
+    if mode == PACKED_FULL:
+        strings = [
+            (pos, node.data)
+            for pos, node in enumerate(positions)
+            if isinstance(node, Bytes) and len(node.data) >= opts.min_prefix_len
+        ]
+        prefixes = set()
+        for i in range(len(strings)):
+            for j in range(i + 1, len(strings)):
+                a, b = strings[i][1], strings[j][1]
+                n = 0
+                for x, y in zip(a, b):
+                    if x != y:
+                        break
+                    n += 1
+                if n >= opts.min_prefix_len:
+                    prefixes.add(a[:n])
+        for prefix in prefixes:
+            occs = {pos: positions[pos] for pos, data in strings if data.startswith(prefix)}
+            if len(occs) >= 2:
+                cands.append(("prefix", Bytes(prefix), occs))
+    cands.sort(key=lambda c: (min(c[2]), c[0], cbor.encode(c[1])))
+
+    def reference(kind, entry, original, index):
+        if kind == "value":
+            if index < opts.simple_ref_limit:
+                return Simple(index)
+            return Tag(opts.value_tag, Uint(index - opts.simple_ref_limit))
+        if kind == "suffix":
+            head = original.data[: len(original.data) - len(entry.data)]
+            return Tag(opts.suffix_tag, Array([Text(head), Uint(index)]))
+        return Tag(opts.prefix_tag, Array([Uint(index), Bytes(original.data[len(entry.data) :])]))
+
+    table, consumed, rewrites = [], set(), {}
+    while cands:
+        index = len(table)
+        best, best_saving = None, 0
+        for kind, entry, occs in cands:
+            saving = -cbor.item_size(entry)
+            for pos, original in occs.items():
+                if pos not in consumed:
+                    saving += cbor.item_size(original) - cbor.item_size(
+                        reference(kind, entry, original, index)
+                    )
+            if saving > best_saving:
+                best, best_saving = (kind, entry, occs), saving
+        if best is None:
+            break
+        kind, entry, occs = best
+        table.append(entry)
+        for pos, original in occs.items():
+            if pos not in consumed:
+                rewrites[pos] = reference(kind, entry, original, index)
+                consumed.add(pos)
+        cands.remove(best)
+    return PackedEnvelope(table, dnspacked._rebuild(item, rewrites, [0]), opts)
+
+
+_labels = st.sampled_from(["a", "b", "example", "org", "com", "x1", "mail", "é"])
+_dotted = st.lists(_labels, min_size=1, max_size=4).map(".".join)
+_texts = st.one_of(_dotted, st.text("ab.", max_size=5))
+_byte_prefixes = st.sampled_from([b"", b"\x20\x01\x0d\xb8", b"\xc6\x33\x64", b"\xc6\x33"])
+_pads = st.sampled_from([b"", b"", bytes(20), bytes(252)])  # heads widen at 24 and 256
+_bytes = st.builds(lambda p, t, pad: p + t + pad, _byte_prefixes, st.binary(max_size=6), _pads)
+_ints = st.sampled_from([0, 23, 24, 255, 256, 3600, 65536, 2**32])
+_scalars = st.one_of(_texts.map(Text), _bytes.map(Bytes), _ints.map(Uint), _ints.map(Nint))
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=6).map(Array),
+            st.lists(st.tuples(kids, kids), max_size=3).map(Map),
+            kids.map(lambda c: Tag(1000, c)),
+        ),
+        max_leaves=40,
+    )
+
+
+@st.composite
+def _wide_tables(draw):
+    # Enough distinct repeated values that the table passes index 16
+    # (value references widen to tag 6) and index 24/40 (wider indices).
+    count = draw(st.integers(17, 48))
+    tokens = [Text("t%03d.example.org" % i) for i in range(count)]
+    repeats = draw(st.lists(st.integers(2, 3), min_size=count, max_size=count))
+    noise = draw(st.lists(_scalars, max_size=20))
+    return Array([t for t, r in zip(tokens, repeats) for _ in range(r)] + noise)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_trees(_scalars), _wide_tables()))
+def test_pack_matches_full_rescan_greedy(item):
+    for mode in (PACKED_FULL, PACKED_LITE):
+        expected = _oracle_pack(item, mode)
+        got = pack(item, mode)
+        assert got.encode() == expected.encode()
+        assert got.table == expected.table
+
+
+def test_pack_and_compref11_size_on_messages():
+    rng = random.Random(2025)
+    for _ in range(200):
+        msg = random_message(rng)
+        role = ROLE_RESPONSE if msg.is_response else ROLE_QUERY
+        item = encode_message(msg, CodecContext(role=role)).item
+        for mode in (PACKED_FULL, PACKED_LITE):
+            assert pack(item, mode).encode() == _oracle_pack(item, mode).encode()
+        # compare_modes derives the 1+1 size from the 1+0 encoding
+        ctx = CodecContext(role=role, mode=ComponentRef.one_plus_one())
+        assert compare_modes(msg).sizes["compref11"] == len(encode_message(msg, ctx).data)
+
+
+def test_rewriting_a_losing_occurrence_raises_a_saving():
+    # Past 65535 bytes a string head grows by two bytes at once, so the
+    # 3-byte prefix gains +1 on each long string and -1 on the short one.
+    # Once the short one becomes a value reference, the prefix saves more
+    # than its stale key says and must still beat the equal-saving Uint.
+    prefix = b"\x01\x02\x03"
+    short = prefix + b"\x09"
+    longs = [Bytes(prefix + bytes([0x10 + k]) + bytes(65533)) for k in range(8)]
+    item = Array([Bytes(short), Bytes(short), Uint(70000), Uint(70000)] + longs)
+    env = pack(item, PACKED_FULL)
+    assert env.table == [Bytes(short), Bytes(prefix), Uint(70000)]
+    assert env.encode() == _oracle_pack(item, PACKED_FULL).encode()
