@@ -173,7 +173,7 @@ class DecodeOptions:
     max_depth: int = DEFAULT_MAX_DEPTH
 
 
-def _head(major: int, argument: int) -> bytes:
+def head(major: int, argument: int) -> bytes:
     """Shortest-form head for the given major type and argument."""
     base = major << 5
     if argument < 24:
@@ -254,30 +254,30 @@ def _encode_into(out: bytearray, item: CborItem, opts: EncodeOptions, depth: int
     if depth < 0:
         raise DepthExceeded("item tree deeper than %d" % opts.max_depth)
     if isinstance(item, Uint):
-        out += _head(0, item.value)
+        out += head(0, item.value)
     elif isinstance(item, Nint):
-        out += _head(1, item.n)
+        out += head(1, item.n)
     elif isinstance(item, Bytes):
-        out += _head(2, len(item.data))
+        out += head(2, len(item.data))
         out += item.data
     elif isinstance(item, Text):
         try:
             data = item.data.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise InvalidUtf8(str(exc)) from exc
-        out += _head(3, len(data))
+        out += head(3, len(data))
         out += data
     elif isinstance(item, Array):
-        out += _head(4, len(item.items))
+        out += head(4, len(item.items))
         for child in item.items:
             _encode_into(out, child, opts, depth - 1)
     elif isinstance(item, Map):
-        out += _head(5, len(item.entries))
+        out += head(5, len(item.entries))
         for key, value in item.entries:
             _encode_into(out, key, opts, depth - 1)
             _encode_into(out, value, opts, depth - 1)
     elif isinstance(item, Tag):
-        out += _head(6, item.number)
+        out += head(6, item.number)
         _encode_into(out, item.content, opts, depth - 1)
     elif isinstance(item, Bool):
         out.append(0xF5 if item.value else 0xF4)

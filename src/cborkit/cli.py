@@ -203,8 +203,10 @@ def _cmd_json_analyze(args) -> int:
     for path in sorted(directory.glob("*.json")):
         try:
             value = jsonbridge.parse_json(path.read_text(encoding="utf-8"))
-            minified = len(jsonbridge.minify(value).encode("utf-8"))
+            # Converting first rejects a too-deep document before minify
+            # recurses into it.
             item = jsonbridge.json_to_cbor(value, args.float_mode)
+            minified = len(jsonbridge.minify(value).encode("utf-8"))
             encoded = cbor.item_size(item, EncodeOptions(float_mode=args.float_mode))
             report = taxonomy.compute_savings(minified, encoded)
             record = taxonomy.classify(item, minified)

@@ -145,21 +145,22 @@ class ComponentIndex:
     next_index: int = 0
     suffix_table: dict[tuple[str, ...], int] = field(default_factory=dict)
 
-    def lookup_longest_suffix(
-        self, labels: tuple[str, ...]
-    ) -> tuple[int, int | None]:
+    @staticmethod
+    def fold(labels: tuple[str, ...]) -> tuple[str, ...]:
+        """The case-folded key of a name, as the other methods take it."""
+        return tuple(_fold_case(c) for c in labels)
+
+    def lookup_longest_suffix(self, key: tuple[str, ...]) -> tuple[int, int | None]:
         """Minimal literal count plus the reference index for the rest."""
-        key = tuple(_fold_case(c) for c in labels)
-        for i in range(len(labels)):
+        for i in range(len(key)):
             index = self.suffix_table.get(key[i:])
             if index is not None:
                 return i, index
-        return len(labels), None
+        return len(key), None
 
-    def register_name(self, labels: tuple[str, ...], literal_count: int) -> None:
+    def register_name(self, key: tuple[str, ...], literal_count: int) -> None:
         """Record a name emitted as ``literal_count`` components plus an
-        optional reference covering the remainder of ``labels``."""
-        key = tuple(_fold_case(c) for c in labels)
+        optional reference covering the remainder of ``key``."""
         for i in range(literal_count):
             self.suffix_table.setdefault(key[i:], self.next_index + i)
         self.next_index += literal_count
@@ -206,12 +207,13 @@ class _Encoder:
             self.index.register_root()
             return [Text("")]
         components = _label_components(name)
-        literal_count, ref = self.index.lookup_longest_suffix(components)
+        key = ComponentIndex.fold(components)
+        literal_count, ref = self.index.lookup_longest_suffix(key)
         items: list[CborItem] = [Text(c) for c in components[:literal_count]]
         if ref is not None:
             items.append(Tag(mode.tag, Uint(ref)))
             self.references += 1
-        self.index.register_name(components, literal_count)
+        self.index.register_name(key, literal_count)
         return items
 
     def question_items(self, question: Question) -> Array:

@@ -147,6 +147,8 @@ def parse_json(text: str | bytes) -> JsonValue:
         raise JsonSyntaxError(exc.msg, offset) from exc
     except ValueError as exc:
         raise JsonSyntaxError(str(exc), 0) from exc
+    except RecursionError as exc:
+        raise JsonSyntaxError("nested too deeply to parse", start) from exc
     rest = source[end:].strip(" \t\n\r")
     if rest:
         offset = len(source[:end].encode("utf-8")) if was_bytes else end
@@ -199,8 +201,20 @@ def json_to_cbor(
 
     ``float_mode`` only controls the preferred width recorded on floats
     (``smallest`` picks the narrowest exact width); the actual byte
-    width is decided when the item is encoded.
+    width is decided when the item is encoded.  Nesting deeper than
+    ``cbor.DEFAULT_MAX_DEPTH``, which ``cbor.encode`` would reject, raises
+    ``cbor.DepthExceeded``.
     """
+    return _to_cbor(value, float_mode, report, cbor.DEFAULT_MAX_DEPTH)
+
+
+def _to_cbor(
+    value: JsonValue, float_mode: str, report: ConversionReport | None, depth: int
+) -> CborItem:
+    # An object's keys sit at the level of its values, so checking every
+    # value bounds the keys too.
+    if depth < 0:
+        raise cbor.DepthExceeded("JSON nested deeper than %d" % cbor.DEFAULT_MAX_DEPTH)
     if value is None:
         return Null()
     if isinstance(value, bool):
@@ -210,7 +224,7 @@ def json_to_cbor(
     if isinstance(value, str):
         return Text(value)
     if isinstance(value, list):
-        return Array([json_to_cbor(c, float_mode, report) for c in value])
+        return Array([_to_cbor(c, float_mode, report, depth - 1) for c in value])
     if isinstance(value, JsonObject):
         seen: set[str] = set()
         entries: list[tuple[CborItem, CborItem]] = []
@@ -218,7 +232,7 @@ def json_to_cbor(
             if key in seen and report is not None:
                 report.add("duplicate object key %r kept" % key)
             seen.add(key)
-            entries.append((Text(key), json_to_cbor(child, float_mode, report)))
+            entries.append((Text(key), _to_cbor(child, float_mode, report, depth - 1)))
         return Map(entries)
     raise JsonBridgeError("not a JSON value: %r" % (value,))
 

@@ -8,11 +8,22 @@ their own classes), value redundancy and nesting.
 The prevalence and redundancy rules are explicit stand-ins: map keys
 count as leaves, and duplicates only count as redundancy when their
 encoding is at least 2 bytes.
+
+``classify`` makes one post-order pass over the item.  Each node returns
+its encoding, built as its head followed by its children's encodings, so
+every subtree is encoded once rather than once per ancestor.  The same
+pass counts content types and notes a container inside a container
+(tags are transparent).  Redundancy is keyed on that encoding under the
+default ``EncodeOptions`` rather than on a structural hash of the
+values.  The encoding is exact where such a hash is not: every NaN
+encodes as the one canonical NaN, while ``-0.0`` equals ``0.0`` as a
+value, and a float's preferred width changes its bytes but not its
+value.  The pass enforces ``cbor.DEFAULT_MAX_DEPTH`` as ``cbor.encode``
+does.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from . import cbor
@@ -31,6 +42,7 @@ from .cbor import (
     Uint,
     Undefined,
 )
+from .dnspacked import PackOptions
 
 
 class TaxonomyError(Exception):
@@ -62,7 +74,18 @@ TIER_2_LIMIT = 1000
 CONTENT_TYPES = ("textual", "numeric", "binary", "taggy", "boolean", "structural")
 
 # Simple values below this bound act as table references in packed items.
-PACKED_REFERENCE_LIMIT = 16
+_SIMPLE_REF_LIMIT = PackOptions().simple_ref_limit
+
+_LEAF_CONTENT = {
+    Text: "textual",
+    Uint: "numeric",
+    Nint: "numeric",
+    Float: "numeric",
+    Bool: "boolean",
+    Null: "boolean",
+    Undefined: "boolean",
+    Bytes: "binary",
+}
 
 
 @dataclass(frozen=True)
@@ -82,77 +105,57 @@ def size_tier(size: int) -> int:
 
 
 def classify(item: CborItem, encoded_size: int) -> TaxonomyRecord:
-    counts: Counter[str] = Counter()
-    _count_content(item, counts)
+    counts = dict.fromkeys(CONTENT_TYPES, 0)
+    seen: set[bytes] = set()
+    redundant = nested = False
+
+    def visit(node: CborItem, depth: int, inside: bool) -> bytes:
+        # Returns the node's encoding under the default EncodeOptions;
+        # ``inside`` says whether an array or map encloses the node.
+        nonlocal redundant, nested
+        if depth < 0:
+            raise cbor.DepthExceeded("item tree deeper than %d" % cbor.DEFAULT_MAX_DEPTH)
+        if isinstance(node, Text) and node.data.isascii():
+            # Most JSON leaves are ASCII text, whose length in bytes is its
+            # length in characters.
+            kind = "textual"
+            encoded = cbor.head(3, len(node.data)) + node.data.encode("ascii")
+        elif isinstance(node, Array):
+            nested = nested or inside
+            kind = "structural"
+            encoded = cbor.head(4, len(node.items)) + b"".join(
+                [visit(child, depth - 1, True) for child in node.items]
+            )
+        elif isinstance(node, Map):
+            nested = nested or inside
+            kind = "structural"
+            encoded = cbor.head(5, len(node.entries)) + b"".join(
+                [visit(x, depth - 1, True) for pair in node.entries for x in pair]
+            )
+        elif isinstance(node, Tag):
+            kind = "taggy"
+            encoded = cbor.head(6, node.number) + visit(node.content, depth - 1, inside)
+        else:
+            # Every other leaf, including text that may hold a lone
+            # surrogate, which cbor.encode rejects with InvalidUtf8.
+            encoded = cbor.encode(node)
+            if isinstance(node, Simple):
+                kind = "taggy" if node.value < _SIMPLE_REF_LIMIT else "numeric"
+            else:
+                kind = _LEAF_CONTENT[type(node)]
+        counts[kind] += 1
+        if len(encoded) >= 2:
+            if encoded in seen:
+                redundant = True
+            else:
+                seen.add(encoded)
+        return encoded
+
+    visit(item, cbor.DEFAULT_MAX_DEPTH, False)
     winner = max(CONTENT_TYPES, key=lambda t: (counts[t], -CONTENT_TYPES.index(t)))
     return TaxonomyRecord(
         tier=size_tier(encoded_size),
         content_type=winner,
-        redundancy="redundant" if _is_redundant(item) else "non_redundant",
-        structure="nested" if _is_nested(item, False) else "flat",
+        redundancy="redundant" if redundant else "non_redundant",
+        structure="nested" if nested else "flat",
     )
-
-
-def _count_content(item: CborItem, counts: Counter) -> None:
-    if isinstance(item, Text):
-        counts["textual"] += 1
-    elif isinstance(item, (Uint, Nint, Float)):
-        counts["numeric"] += 1
-    elif isinstance(item, Simple):
-        if item.value < PACKED_REFERENCE_LIMIT:
-            counts["taggy"] += 1
-        else:
-            counts["numeric"] += 1
-    elif isinstance(item, (Bool, Null, Undefined)):
-        counts["boolean"] += 1
-    elif isinstance(item, Bytes):
-        counts["binary"] += 1
-    elif isinstance(item, Tag):
-        counts["taggy"] += 1
-        _count_content(item.content, counts)
-    elif isinstance(item, Array):
-        counts["structural"] += 1
-        for child in item.items:
-            _count_content(child, counts)
-    elif isinstance(item, Map):
-        counts["structural"] += 1
-        for key, value in item.entries:
-            _count_content(key, counts)
-            _count_content(value, counts)
-
-
-def _is_redundant(item: CborItem) -> bool:
-    # Encoded bytes double as the structural-equality key; the >= 2 byte
-    # bound keeps trivial repeats (0, true, ...) from counting.
-    seen: Counter[bytes] = Counter()
-    _collect_encodings(item, seen)
-    return any(n >= 2 and len(key) >= 2 for key, n in seen.items())
-
-
-def _collect_encodings(item: CborItem, seen: Counter) -> None:
-    seen[cbor.encode(item)] += 1
-    if isinstance(item, Array):
-        for child in item.items:
-            _collect_encodings(child, seen)
-    elif isinstance(item, Map):
-        for key, value in item.entries:
-            _collect_encodings(key, seen)
-            _collect_encodings(value, seen)
-    elif isinstance(item, Tag):
-        _collect_encodings(item.content, seen)
-
-
-def _is_nested(item: CborItem, inside: bool) -> bool:
-    if isinstance(item, (Array, Map)):
-        if inside:
-            return True
-        children = (
-            item.items
-            if isinstance(item, Array)
-            else [x for pair in item.entries for x in pair]
-        )
-        return any(_is_nested(child, True) for child in children)
-    if isinstance(item, Tag):
-        # Tags are transparent for nesting purposes.
-        return _is_nested(item.content, inside)
-    return False

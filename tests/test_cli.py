@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from conftest import build_pcap, build_udp_frame, random_message
 from cborkit import cbor
 from cborkit.cli import run
@@ -232,9 +234,10 @@ def test_dns_compare_parallel_chunks_keep_row_order(tmp_path, capsys):
     assert len(outputs[0].splitlines()) == 1 + 60
 
 
-def test_json_analyze_skips_too_deep_file(tmp_path, capsys):
+@pytest.mark.parametrize("depth", [200, 600, 1500, 100_000])
+def test_json_analyze_skips_too_deep_file(tmp_path, capsys, depth):
     (tmp_path / "flat.json").write_text("[1]")
-    (tmp_path / "deep.json").write_text("[" * 200 + "]" * 200)
+    (tmp_path / "deep.json").write_text("[" * depth + "]" * depth)
     out = tmp_path / "report.csv"
     assert run(["json", "analyze", "--in", str(tmp_path), "--out", str(out)]) == 0
     rows = out.read_text().splitlines()

@@ -252,6 +252,8 @@ def test_component_index_registration():
     assert index.lookup_longest_suffix(("nomatch", "test")) == (2, None)
     # partial match against the table (brute-force cross-check below)
     assert index.lookup_longest_suffix(("a", "example", "org")) == (1, 1)
+    # keys are case-folded by the caller, ASCII letters only
+    assert ComponentIndex.fold(("A", "EXAMPLE", "Org", "É")) == ("a", "example", "org", "É")
     index.register_name(("mail", "example", "org"), 1)
     assert index.suffix_table[("mail", "example", "org")] == 3
     assert index.next_index == 4

@@ -57,6 +57,37 @@ def test_parse_error_reports_byte_offset():
         assert exc.offset == 7  # the '!' counted in bytes, not chars
 
 
+def test_parse_rejects_nesting_too_deep_to_parse():
+    with pytest.raises(JsonSyntaxError):
+        parse_json("[" * 100_000 + "]" * 100_000)
+
+
+def _json_depth(value):
+    # Level of the deepest node once converted; a key sits at its value's level.
+    if isinstance(value, list):
+        children = value
+    elif isinstance(value, JsonObject):
+        children = [child for _, child in value.entries]
+    else:
+        return 0
+    return 1 + max(map(_json_depth, children)) if children else 0
+
+
+@pytest.mark.parametrize("inner", ["1", "[]", "{}", "[1]", '{"a":1}', '{"a":{}}'])
+@pytest.mark.parametrize("wrap", ["[%s]", '{"k":%s}', '[0,%s,{}]'])
+def test_json_to_cbor_depth_bound_is_the_encoders(inner, wrap):
+    for levels in range(126, 130):
+        text = inner
+        for _ in range(levels):
+            text = wrap % text
+        value = parse_json(text)
+        if _json_depth(value) > cbor.DEFAULT_MAX_DEPTH:
+            with pytest.raises(cbor.DepthExceeded):
+                json_to_cbor(value)
+        else:
+            cbor.encode(json_to_cbor(value))
+
+
 def test_minify():
     assert minify(parse_json(' { "a" : 1 } ')) == '{"a":1}'
     assert len(minify(parse_json('{"a":1}'))) == 7

@@ -1,12 +1,30 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_item
 from cborkit import cbor
-from cborkit.cbor import Array, Bool, Bytes, Map, Null, Simple, Tag, Text, Uint
+from cborkit.cbor import (
+    Array,
+    Bool,
+    Bytes,
+    Float,
+    Map,
+    Nint,
+    Null,
+    Simple,
+    Tag,
+    Text,
+    Uint,
+    Undefined,
+)
 from cborkit.taxonomy import (
+    CONTENT_TYPES,
     SavingsReport,
+    TaxonomyRecord,
     ZeroOriginal,
     classify,
     compute_savings,
@@ -65,6 +83,8 @@ def test_classify_content_types():
     # simple values >= 16 count as numeric, below as packed references
     assert classify(Array([Simple(19), Simple(19), Simple(18)]), 10).content_type == "numeric"
     assert classify(Array([Simple(15), Simple(14), Simple(0)]), 10).content_type == "taggy"
+    assert classify(Array([Simple(16), Simple(16), Text("x")]), 10).content_type == "numeric"
+    assert classify(Array([Simple(15), Simple(15), Uint(1)]), 10).content_type == "taggy"
 
 
 def test_classify_redundancy():
@@ -78,6 +98,10 @@ def test_classify_redundancy():
     assert classify(subtree, 10).redundancy == "redundant"
     distinct = Array([Uint(n) for n in range(40, 90)])
     assert classify(distinct, 100).redundancy == "non_redundant"
+    # a tag's number is part of its subtree's key
+    tags = Array([Tag(6, Uint(0)), Tag(24, Uint(0)), Tag(0, Uint(0))])
+    assert classify(tags, 10).redundancy == "non_redundant"
+    assert classify(Array([Tag(6, Uint(0)), Tag(6, Uint(0))]), 10).redundancy == "redundant"
 
 
 def test_classify_structure():
@@ -117,3 +141,160 @@ def test_classify_total_on_random_items():
             "boolean",
             "structural",
         )
+
+
+# The three-walk classify that the one-pass version replaced, kept as the
+# reference: it encodes every subtree from scratch.
+def _oracle_classify(item, encoded_size):
+    counts = Counter()
+    _oracle_count_content(item, counts)
+    winner = max(CONTENT_TYPES, key=lambda t: (counts[t], -CONTENT_TYPES.index(t)))
+    seen = Counter()
+    _oracle_collect_encodings(item, seen)
+    return TaxonomyRecord(
+        tier=size_tier(encoded_size),
+        content_type=winner,
+        redundancy=(
+            "redundant"
+            if any(n >= 2 and len(key) >= 2 for key, n in seen.items())
+            else "non_redundant"
+        ),
+        structure="nested" if _oracle_is_nested(item, False) else "flat",
+    )
+
+
+def _oracle_count_content(item, counts):
+    if isinstance(item, Text):
+        counts["textual"] += 1
+    elif isinstance(item, (Uint, Nint, Float)):
+        counts["numeric"] += 1
+    elif isinstance(item, Simple):
+        counts["taggy" if item.value < 16 else "numeric"] += 1
+    elif isinstance(item, (Bool, Null, Undefined)):
+        counts["boolean"] += 1
+    elif isinstance(item, Bytes):
+        counts["binary"] += 1
+    elif isinstance(item, Tag):
+        counts["taggy"] += 1
+        _oracle_count_content(item.content, counts)
+    elif isinstance(item, Array):
+        counts["structural"] += 1
+        for child in item.items:
+            _oracle_count_content(child, counts)
+    elif isinstance(item, Map):
+        counts["structural"] += 1
+        for key, value in item.entries:
+            _oracle_count_content(key, counts)
+            _oracle_count_content(value, counts)
+
+
+def _oracle_collect_encodings(item, seen):
+    seen[cbor.encode(item)] += 1
+    if isinstance(item, Array):
+        for child in item.items:
+            _oracle_collect_encodings(child, seen)
+    elif isinstance(item, Map):
+        for key, value in item.entries:
+            _oracle_collect_encodings(key, seen)
+            _oracle_collect_encodings(value, seen)
+    elif isinstance(item, Tag):
+        _oracle_collect_encodings(item.content, seen)
+
+
+def _oracle_is_nested(item, inside):
+    if isinstance(item, (Array, Map)):
+        if inside:
+            return True
+        children = (
+            item.items if isinstance(item, Array) else [x for pair in item.entries for x in pair]
+        )
+        return any(_oracle_is_nested(child, True) for child in children)
+    if isinstance(item, Tag):
+        return _oracle_is_nested(item.content, inside)
+    return False
+
+
+def _outcome(classifier, item):
+    try:
+        return classifier(item, 100)
+    except cbor.CborError as exc:
+        return type(exc)
+
+
+_floats = st.one_of(
+    st.sampled_from(
+        [Float(float("nan"), w) for w in (16, 32, 64)]
+        + [Float(-0.0, w) for w in (16, 32, 64)]
+        + [Float(0.0, 16), Float(1.0, 16), Float(1.0, 64), Float(65504.0, 16)]
+    ),
+    st.builds(Float, st.floats(width=16), st.just(16)),
+    st.builds(Float, st.floats(width=32), st.just(32)),
+    st.builds(Float, st.floats(width=64), st.just(64)),
+)
+
+# Small pools make repeats common: 1-byte items (0, true, simple(3), [])
+# and 2-byte ones (24, "a", simple(32), [0], -25) recur in most trees.
+_scalars = st.one_of(
+    st.sampled_from(
+        [Uint(0), Uint(23), Uint(24), Nint(0), Nint(24), Text(""), Text("a"), Text("ab")]
+        + [Text("é"), Text("☃x"), Bytes(b""), Bytes(b"\x00"), Bool(True), Bool(False)]
+        + [Null(), Undefined(), Array([]), Array([Uint(0)]), Map([])]
+    ),
+    st.sampled_from([Simple(v) for v in (0, 3, 15, 16, 17, 19, 32, 255)]),
+    st.builds(Uint, st.integers(0, 2**64 - 1)),
+    st.builds(Nint, st.integers(0, 300)),
+    st.builds(Text, st.text(max_size=4)),
+    st.builds(Bytes, st.binary(max_size=3)),
+    _floats,
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.builds(Array, st.lists(children, max_size=4)),
+        st.builds(Map, st.lists(st.tuples(children, children), max_size=3)),
+        st.builds(Tag, st.sampled_from([0, 6, 24, 113, 1000]), children),
+    )
+
+
+_trees = st.recursive(_scalars, _containers, max_leaves=24)
+
+
+@st.composite
+def _deep_trees(draw, levels=129):
+    """A tree under ``levels`` nested containers of mixed kinds."""
+    node = draw(_scalars)
+    for kind in draw(st.lists(st.sampled_from("amkt"), min_size=levels, max_size=levels)):
+        if kind == "a":
+            node = Array([Uint(1), node])
+        elif kind == "m":
+            node = Map([(Text("k"), node)])
+        elif kind == "k":
+            node = Map([(node, Null())])
+        else:
+            node = Tag(6, node)
+    return node
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_trees, _trees.map(lambda t: Array([t, t])), _deep_trees()))
+def test_classify_matches_three_walk_oracle(item):
+    assert _outcome(classify, item) == _outcome(_oracle_classify, item)
+
+
+def test_classify_depth_bound_matches_encode():
+    leaf = Text("x")
+    for levels, wrap in ((128, lambda n: Array([n])), (128, lambda n: Tag(6, n))):
+        node = leaf
+        for _ in range(levels):
+            node = wrap(node)
+        assert classify(node, 100) == _oracle_classify(node, 100)
+        with pytest.raises(cbor.DepthExceeded):
+            classify(wrap(node), 100)
+        with pytest.raises(cbor.DepthExceeded):
+            cbor.encode(wrap(node))
+
+
+def test_classify_rejects_lone_surrogate():
+    with pytest.raises(cbor.InvalidUtf8):
+        classify(Array([Text("ok"), Map([(Text("\ud800"), Uint(1))])]), 100)
