@@ -20,18 +20,9 @@ from .dnswire import (
     Name,
     TYPE_A,
     TYPE_AAAA,
-    TYPE_CNAME,
-    TYPE_MX,
-    TYPE_NS,
-    TYPE_PTR,
-    TYPE_SOA,
-    TYPE_SRV,
     decode_wire,
     encode_wire,
-    unpack_mx_rdata,
-    unpack_name_rdata,
-    unpack_soa_rdata,
-    unpack_srv_rdata,
+    unpack_rdata,
 )
 
 
@@ -118,17 +109,11 @@ def message_names(msg: DnsMessage) -> list[Name]:
     for record in (*msg.answers, *msg.authority, *msg.additional):
         names.append(record.name)
         try:
-            if record.rtype in (TYPE_NS, TYPE_CNAME, TYPE_PTR):
-                names.append(unpack_name_rdata(record.rdata))
-            elif record.rtype == TYPE_MX:
-                names.append(unpack_mx_rdata(record.rdata)[1])
-            elif record.rtype == TYPE_SRV:
-                names.append(unpack_srv_rdata(record.rdata)[3])
-            elif record.rtype == TYPE_SOA:
-                mname, rname = unpack_soa_rdata(record.rdata)[:2]
-                names.extend((mname, rname))
+            fields = unpack_rdata(record.rtype, record.rdata)
         except DnsWireError:
-            pass  # opaque rdata contributes no names
+            continue  # opaque rdata contributes no names
+        if fields is not None:
+            names.extend(fields.names)
     return names
 
 

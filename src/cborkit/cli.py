@@ -20,7 +20,18 @@ from pathlib import Path
 from . import analysis, cbor, dnscbor, dnspacked, jsonbridge, taxonomy
 from .cbor import EncodeOptions
 from .dnscbor import CodecContext, ComponentRef, ROLE_QUERY, ROLE_RESPONSE
-from .dnswire import DnsWireError, decode_wire, encode_wire
+from .dnswire import (
+    CLASS_IN,
+    DnsMessage,
+    DnsWireError,
+    Name,
+    Question,
+    ResourceRecord,
+    TYPE_A,
+    decode_wire,
+    encode_wire,
+    name_rdata,
+)
 
 FLOAT_MODES = (cbor.FLOAT_PRESERVE, cbor.FLOAT_FORCE_DOUBLE, cbor.FLOAT_SMALLEST)
 
@@ -352,8 +363,6 @@ _BENCH_JSON = (
 
 
 def _bench_fixture_message():
-    from .dnswire import CLASS_IN, DnsMessage, Name, Question, ResourceRecord, TYPE_A, name_rdata
-
     return DnsMessage(
         0,
         0x8180,

@@ -26,6 +26,7 @@ jumping to the indexed component and appending what follows.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from . import cbor
@@ -36,21 +37,12 @@ from .dnswire import (
     DnsWireError,
     Name,
     Question,
+    RDATA_LAYOUTS,
+    RdataFields,
     ResourceRecord,
     TYPE_AAAA,
-    TYPE_CNAME,
-    TYPE_MX,
-    TYPE_NS,
-    TYPE_PTR,
-    TYPE_SOA,
-    TYPE_SRV,
-    mx_rdata,
-    soa_rdata,
-    srv_rdata,
-    unpack_mx_rdata,
-    unpack_name_rdata,
-    unpack_soa_rdata,
-    unpack_srv_rdata,
+    pack_rdata,
+    unpack_rdata,
 )
 
 ROLE_QUERY = "query"
@@ -244,41 +236,20 @@ class _Encoder:
         return Array(items)
 
     def rdata_items(self, record: ResourceRecord) -> list[CborItem]:
-        if not self.ctx.structured_rdata:
-            return [Bytes(record.rdata)]
-        rtype, rdata = record.rtype, record.rdata
-        try:
-            if rtype in (TYPE_CNAME, TYPE_NS, TYPE_PTR):
-                return self.name_items(unpack_name_rdata(rdata))
-            if rtype == TYPE_SOA:
-                mname, rname, *counters = unpack_soa_rdata(rdata)
-                return [
-                    Array(
-                        [
-                            self.nested_name(mname),
-                            self.nested_name(rname),
-                            *(Uint(v) for v in counters),
-                        ]
-                    )
-                ]
-            if rtype == TYPE_MX:
-                preference, exchange = unpack_mx_rdata(rdata)
-                return [Array([Uint(preference), self.nested_name(exchange)])]
-            if rtype == TYPE_SRV:
-                priority, weight, port, target = unpack_srv_rdata(rdata)
-                return [
-                    Array(
-                        [
-                            Uint(priority),
-                            Uint(weight),
-                            Uint(port),
-                            self.nested_name(target),
-                        ]
-                    )
-                ]
-        except DnsWireError:
-            pass  # malformed structured rdata travels opaquely
-        return [Bytes(rdata)]
+        if self.ctx.structured_rdata:
+            try:
+                fields = unpack_rdata(record.rtype, record.rdata)
+            except DnsWireError:
+                fields = None  # malformed structured rdata travels opaquely
+            if fields is not None:
+                if not fields.prefix and not fields.tail:
+                    # a lone name (NS/CNAME/PTR) is spliced into the record
+                    return self.name_items(fields.names[0])
+                items: list[CborItem] = [Uint(v) for v in fields.prefix]
+                items += [self.nested_name(n) for n in fields.names]
+                items += [Uint(v) for v in fields.tail]
+                return [Array(items)]
+        return [Bytes(record.rdata)]
 
     def nested_name(self, name: Name) -> CborItem:
         if self.ctx.mode is None:
@@ -360,6 +331,14 @@ def _expect_uint(item: CborItem, bits: int, what: str) -> int:
     return item.value
 
 
+def _expect_fixed(codes: str, items: list[CborItem]) -> tuple[int, ...]:
+    """Fixed rdata integers, each as wide as its struct format code."""
+    return tuple(
+        _expect_uint(item, 8 * struct.calcsize(code), "rdata field")
+        for code, item in zip(codes, items)
+    )
+
+
 class _Decoder:
     def __init__(self, ctx: CodecContext):
         self.ctx = ctx
@@ -369,14 +348,21 @@ class _Decoder:
         mode = self.ctx.mode
         return mode is not None and isinstance(item, Tag) and item.number == mode.tag
 
+    @staticmethod
+    def name_from_text(element: CborItem) -> Name:
+        """A plain-mode name: one text string in presentation form."""
+        if not isinstance(element, Text):
+            raise TypeMismatch("expected a name text string")
+        try:
+            return Name.from_text(element.data)
+        except (UnicodeEncodeError, DnsWireError) as exc:
+            raise TypeMismatch("bad name: %s" % exc) from exc
+
     def parse_name(self, elems: list[CborItem], i: int) -> tuple[Name, int]:
         if self.ctx.mode is None:
-            if i >= len(elems) or not isinstance(elems[i], Text):
+            if i >= len(elems):
                 raise TypeMismatch("expected a name text string")
-            try:
-                return Name.from_text(elems[i].data), i + 1
-            except DnsWireError as exc:
-                raise TypeMismatch("bad name: %s" % exc) from exc
+            return self.name_from_text(elems[i]), i + 1
         texts: list[str] = []
         tail: tuple[str, ...] | None = None
         while i < len(elems):
@@ -415,9 +401,7 @@ class _Decoder:
 
     def parse_nested_name(self, element: CborItem) -> Name:
         if self.ctx.mode is None:
-            if not isinstance(element, Text):
-                raise TypeMismatch("expected a name text string")
-            return Name.from_text(element.data)
+            return self.name_from_text(element)
         if not isinstance(element, Array):
             raise TypeMismatch("expected an array of name components")
         name, consumed = self.parse_name(element.items, 0)
@@ -469,48 +453,26 @@ class _Decoder:
         if i >= len(elems):
             raise TypeMismatch("record data missing")
         element = elems[i]
-        if self.ctx.structured_rdata:
-            if rtype in (TYPE_CNAME, TYPE_NS, TYPE_PTR) and not isinstance(
-                element, Bytes
-            ):
+        layout = RDATA_LAYOUTS.get(rtype) if self.ctx.structured_rdata else None
+        if layout is not None and not isinstance(element, Bytes):
+            head, count, tail = layout
+            if not head and not tail:
                 name, i = self.parse_name(elems, i)
-                return name.to_wire(), i
-            if rtype == TYPE_SOA and isinstance(element, Array):
+                return pack_rdata(rtype, RdataFields((), (name,), ())), i
+            if isinstance(element, Array):
                 f = element.items
-                if len(f) != 7:
-                    raise TypeMismatch("SOA data must be [mname, rname, 5 counters]")
-                return (
-                    soa_rdata(
-                        self.parse_nested_name(f[0]).to_text(),
-                        self.parse_nested_name(f[1]).to_text(),
-                        *(_expect_uint(x, 32, "SOA counter") for x in f[2:]),
-                    ),
-                    i + 1,
+                if len(f) != len(head) + count + len(tail):
+                    raise TypeMismatch(
+                        "type %d data must be %d integers, %d names and %d integers"
+                        % (rtype, len(head), count, len(tail))
+                    )
+                n = len(head)
+                fields = RdataFields(
+                    _expect_fixed(head, f[:n]),
+                    tuple(self.parse_nested_name(x) for x in f[n : n + count]),
+                    _expect_fixed(tail, f[n + count :]),
                 )
-            if rtype == TYPE_MX and isinstance(element, Array):
-                f = element.items
-                if len(f) != 2:
-                    raise TypeMismatch("MX data must be [preference, exchange]")
-                return (
-                    mx_rdata(
-                        _expect_uint(f[0], 16, "MX preference"),
-                        self.parse_nested_name(f[1]).to_text(),
-                    ),
-                    i + 1,
-                )
-            if rtype == TYPE_SRV and isinstance(element, Array):
-                f = element.items
-                if len(f) != 4:
-                    raise TypeMismatch("SRV data must be [prio, weight, port, target]")
-                return (
-                    srv_rdata(
-                        _expect_uint(f[0], 16, "SRV priority"),
-                        _expect_uint(f[1], 16, "SRV weight"),
-                        _expect_uint(f[2], 16, "SRV port"),
-                        self.parse_nested_name(f[3]).to_text(),
-                    ),
-                    i + 1,
-                )
+                return pack_rdata(rtype, fields), i + 1
         if not isinstance(element, Bytes):
             raise TypeMismatch(
                 "record data for type %d must be a byte string" % rtype

@@ -115,34 +115,23 @@ class PackedEnvelope:
         return cls.from_item(item, options)
 
 
-def _scan_references(item: CborItem, opts: PackOptions) -> None:
-    if isinstance(item, Simple) and item.value < opts.simple_ref_limit:
-        raise AlreadyPacked("input holds reference simple value %d" % item.value)
-    if isinstance(item, Tag):
-        if item.number in opts.reference_tags:
-            raise AlreadyPacked("input holds reference tag %d" % item.number)
-        _scan_references(item.content, opts)
-    elif isinstance(item, Array):
-        for child in item.items:
-            _scan_references(child, opts)
-    elif isinstance(item, Map):
-        for key, value in item.entries:
-            _scan_references(key, opts)
-            _scan_references(value, opts)
-
-
-def _walk(item: CborItem, positions: list[CborItem]) -> None:
-    """Preorder enumeration; a node's position is its list index."""
+def _walk(item: CborItem, positions: list[CborItem], opts: PackOptions = PackOptions()) -> None:
+    """Preorder enumeration; a node's position is its list index.  Input
+    that already holds a packing reference is rejected on the way."""
     positions.append(item)
     if isinstance(item, Array):
         for child in item.items:
-            _walk(child, positions)
+            _walk(child, positions, opts)
     elif isinstance(item, Map):
         for key, value in item.entries:
-            _walk(key, positions)
-            _walk(value, positions)
+            _walk(key, positions, opts)
+            _walk(value, positions, opts)
     elif isinstance(item, Tag):
-        _walk(item.content, positions)
+        if item.number in opts.reference_tags:
+            raise AlreadyPacked("input holds reference tag %d" % item.number)
+        _walk(item.content, positions, opts)
+    elif isinstance(item, Simple) and item.value < opts.simple_ref_limit:
+        raise AlreadyPacked("input holds reference simple value %d" % item.value)
 
 
 def _dot_suffixes(text: str) -> list[tuple[str, str]]:
@@ -239,7 +228,7 @@ def _common_prefix_len(a: bytes, b: bytes) -> int:
 
 def _candidates(item: CborItem, mode: str, opts: PackOptions) -> list[_Candidate]:
     positions: list[CborItem] = []
-    _walk(item, positions)
+    _walk(item, positions, opts)
     out: list[_Candidate] = []
     if mode == PACKED_FULL:
         values: dict[CborItem, dict[int, CborItem]] = {}
@@ -300,7 +289,6 @@ def _reference_item(cand: _Candidate, original: CborItem, index: int, opts: Pack
 def pack(item: CborItem, mode: str = PACKED_FULL, opts: PackOptions = PackOptions()) -> PackedEnvelope:
     if mode not in (PACKED_FULL, PACKED_LITE):
         raise DnsPackedError("unknown packing mode %r" % mode)
-    _scan_references(item, opts)
     candidates = _candidates(item, mode, opts)
     holders: dict[int, list[int]] = {}  # position -> candidates holding it
     for order, cand in enumerate(candidates):
@@ -354,8 +342,7 @@ def _rebuild(item: CborItem, rewrites: dict[int, CborItem], counter: list[int]) 
     counter[0] += 1
     replacement = rewrites.get(pos)
     if replacement is not None:
-        _skip(item, counter)
-        return replacement
+        return replacement  # only leaves are rewritten
     if isinstance(item, Array):
         return Array([_rebuild(c, rewrites, counter) for c in item.items])
     if isinstance(item, Map):
@@ -368,22 +355,6 @@ def _rebuild(item: CborItem, rewrites: dict[int, CborItem], counter: list[int]) 
     if isinstance(item, Tag):
         return Tag(item.number, _rebuild(item.content, rewrites, counter))
     return item
-
-
-def _skip(item: CborItem, counter: list[int]) -> None:
-    if isinstance(item, Array):
-        for child in item.items:
-            counter[0] += 1
-            _skip(child, counter)
-    elif isinstance(item, Map):
-        for key, value in item.entries:
-            counter[0] += 1
-            _skip(key, counter)
-            counter[0] += 1
-            _skip(value, counter)
-    elif isinstance(item, Tag):
-        counter[0] += 1
-        _skip(item.content, counter)
 
 
 def unpack(env: PackedEnvelope) -> CborItem:

@@ -7,12 +7,17 @@ offset fits the 14-bit pointer, including names embedded in the rdata
 of the RFC 1035 record types that carry them (NS, CNAME, SOA, PTR, MX,
 SRV).  Decoded rdata for those types is re-serialized uncompressed so a
 message compares equal regardless of how it was compressed on the wire.
+
+``RDATA_LAYOUTS`` is the one place the byte layout of name-bearing rdata
+lives: the wire codec, the CBOR codec and the analysis all split and
+build that rdata through ``unpack_rdata`` and ``pack_rdata``.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class DnsWireError(Exception):
@@ -56,8 +61,20 @@ TYPE_OPT = 41
 
 CLASS_IN = 1
 
+# Rdata of the record types that embed names (RFC 1035 section 3.3,
+# RFC 2782): big-endian integers before the names as a struct format, the
+# number of uncompressed names, and the integers after them.
+RDATA_LAYOUTS: dict[int, tuple[str, int, str]] = {
+    TYPE_NS: ("", 1, ""),
+    TYPE_CNAME: ("", 1, ""),
+    TYPE_PTR: ("", 1, ""),
+    TYPE_MX: ("H", 1, ""),  # preference, exchange
+    TYPE_SRV: ("HHH", 1, ""),  # priority, weight, port, target
+    TYPE_SOA: ("", 2, "IIIII"),  # mname, rname, serial .. minimum
+}
+
 # Record types whose rdata embeds names that may be pointer-compressed.
-NAME_BEARING_TYPES = frozenset({TYPE_NS, TYPE_CNAME, TYPE_SOA, TYPE_PTR, TYPE_MX, TYPE_SRV})
+NAME_BEARING_TYPES = frozenset(RDATA_LAYOUTS)
 
 FLAG_QR = 0x8000
 
@@ -106,14 +123,14 @@ class Name:
                     continue
                 if i + 1 >= len(text):
                     raise DnsWireError("dangling escape")
-                current.append(ord(text[i + 1]))
+                current += text[i + 1].encode("utf-8")
                 i += 2
                 continue
             if ch == ".":
                 labels.append(bytes(current))
                 current = bytearray()
             else:
-                current.append(ord(ch))
+                current += ch.encode("utf-8")
             i += 1
         labels.append(bytes(current))
         return cls(tuple(labels))
@@ -244,36 +261,59 @@ def _read_name(data: bytes, offset: int, min_target: int = 0) -> tuple[Name, int
     return Name(tuple(labels)), end
 
 
+class RdataFields(NamedTuple):
+    """Name-bearing rdata split by its ``RDATA_LAYOUTS`` entry."""
+
+    prefix: tuple[int, ...]
+    names: tuple[Name, ...]
+    tail: tuple[int, ...]
+
+
+def _split_rdata(
+    data: bytes, start: int, end: int, layout: tuple[str, int, str], min_target: int
+) -> RdataFields:
+    """Split the rdata at ``data[start:end]``; its names may point back
+    into ``data`` but no lower than ``min_target``."""
+    head, count, tail = layout
+    head_len = struct.calcsize(">" + head)
+    tail_len = struct.calcsize(">" + tail)
+    if end - start < head_len + count + tail_len:
+        raise Truncated("rdata shorter than its fixed fields and names")
+    pos = start + head_len
+    names = []
+    for _ in range(count):
+        name, pos = _read_name(data, pos, min_target)
+        names.append(name)
+    if pos + tail_len != end:
+        raise Truncated("rdata does not end after its names and fixed fields")
+    return RdataFields(
+        struct.unpack_from(">" + head, data, start),
+        tuple(names),
+        struct.unpack_from(">" + tail, data, pos),
+    )
+
+
+def unpack_rdata(rtype: int, rdata: bytes) -> RdataFields | None:
+    """Uncompressed rdata -> its fields, or None for a type without names."""
+    layout = RDATA_LAYOUTS.get(rtype)
+    if layout is None:
+        return None
+    return _split_rdata(rdata, 0, len(rdata), layout, 0)
+
+
+def pack_rdata(rtype: int, fields: RdataFields) -> bytes:
+    """The uncompressed rdata of a name-bearing type."""
+    head, _, tail = RDATA_LAYOUTS[rtype]
+    names = b"".join(name.to_wire() for name in fields.names)
+    return struct.pack(">" + head, *fields.prefix) + names + struct.pack(">" + tail, *fields.tail)
+
+
 def _reencode_rdata(data: bytes, rd_start: int, rd_end: int, rtype: int) -> bytes:
     """Expand pointers inside name-bearing rdata; other types pass through."""
-    raw = data[rd_start:rd_end]
-    if rtype not in NAME_BEARING_TYPES:
-        return raw
-    if rtype in (TYPE_NS, TYPE_CNAME, TYPE_PTR):
-        name, end = _read_name(data, rd_start, _HEADER_LEN)
-        if end != rd_end:
-            raise Truncated("trailing bytes after name in rdata")
-        return name.to_wire()
-    if rtype == TYPE_MX:
-        if rd_end - rd_start < 3:
-            raise Truncated("MX rdata too short")
-        name, end = _read_name(data, rd_start + 2, _HEADER_LEN)
-        if end != rd_end:
-            raise Truncated("trailing bytes after MX exchange")
-        return raw[:2] + name.to_wire()
-    if rtype == TYPE_SRV:
-        if rd_end - rd_start < 7:
-            raise Truncated("SRV rdata too short")
-        name, end = _read_name(data, rd_start + 6, _HEADER_LEN)
-        if end != rd_end:
-            raise Truncated("trailing bytes after SRV target")
-        return raw[:6] + name.to_wire()
-    # SOA
-    mname, pos = _read_name(data, rd_start, _HEADER_LEN)
-    rname, pos = _read_name(data, pos, _HEADER_LEN)
-    if pos + 20 != rd_end:
-        raise Truncated("SOA rdata tail is not 20 bytes")
-    return mname.to_wire() + rname.to_wire() + data[pos:rd_end]
+    layout = RDATA_LAYOUTS.get(rtype)
+    if layout is None:
+        return data[rd_start:rd_end]
+    return pack_rdata(rtype, _split_rdata(data, rd_start, rd_end, layout, _HEADER_LEN))
 
 
 def decode_wire(data: bytes) -> DnsMessage:
@@ -340,27 +380,20 @@ def _emit_rdata(out: bytearray, record: ResourceRecord, comp: _Compressor) -> No
     rdlen_at = len(out)
     out += b"\x00\x00"
     start = len(out)
-    rtype, rdata = record.rtype, record.rdata
-    if comp.enabled and rtype in NAME_BEARING_TYPES:
-        if rtype in (TYPE_NS, TYPE_CNAME, TYPE_PTR):
-            name, _ = _read_name(rdata, 0)
-            comp.emit(out, name)
-        elif rtype == TYPE_MX:
-            out += rdata[:2]
-            name, _ = _read_name(rdata, 2)
-            comp.emit(out, name)
-        elif rtype == TYPE_SRV:
-            out += rdata[:6]
-            name, _ = _read_name(rdata, 6)
-            comp.emit(out, name)
-        else:  # SOA
-            mname, p = _read_name(rdata, 0)
-            rname, p = _read_name(rdata, p)
-            comp.emit(out, mname)
-            comp.emit(out, rname)
-            out += rdata[p:]
+    fields = None
+    if comp.enabled:
+        try:
+            fields = unpack_rdata(record.rtype, record.rdata)
+        except DnsWireError:
+            pass  # rdata that does not fit its layout is written verbatim
+    if fields is None:
+        out += record.rdata
     else:
-        out += rdata
+        head, _, tail = RDATA_LAYOUTS[record.rtype]
+        out += struct.pack(">" + head, *fields.prefix)
+        for name in fields.names:
+            comp.emit(out, name)
+        out += struct.pack(">" + tail, *fields.tail)
     struct.pack_into(">H", out, rdlen_at, len(out) - start)
 
 
@@ -390,41 +423,6 @@ def encode_wire(msg: DnsMessage, compress: bool = True) -> bytes:
     return bytes(out)
 
 
-def unpack_name_rdata(rdata: bytes) -> Name:
-    """NS/CNAME/PTR rdata (uncompressed) -> the embedded name."""
-    name, end = _read_name(rdata, 0)
-    if end != len(rdata):
-        raise Truncated("trailing bytes after embedded name")
-    return name
-
-
-def unpack_mx_rdata(rdata: bytes) -> tuple[int, Name]:
-    if len(rdata) < 3:
-        raise Truncated("MX rdata too short")
-    name, end = _read_name(rdata, 2)
-    if end != len(rdata):
-        raise Truncated("trailing bytes after MX exchange")
-    return struct.unpack(">H", rdata[:2])[0], name
-
-
-def unpack_srv_rdata(rdata: bytes) -> tuple[int, int, int, Name]:
-    if len(rdata) < 7:
-        raise Truncated("SRV rdata too short")
-    name, end = _read_name(rdata, 6)
-    if end != len(rdata):
-        raise Truncated("trailing bytes after SRV target")
-    priority, weight, port = struct.unpack(">HHH", rdata[:6])
-    return priority, weight, port, name
-
-
-def unpack_soa_rdata(rdata: bytes) -> tuple[Name, Name, int, int, int, int, int]:
-    mname, pos = _read_name(rdata, 0)
-    rname, pos = _read_name(rdata, pos)
-    if pos + 20 != len(rdata):
-        raise Truncated("SOA rdata tail is not 20 bytes")
-    return (mname, rname, *struct.unpack(">IIIII", rdata[pos:]))
-
-
 def a_rdata(address: str) -> bytes:
     """Pack a dotted-quad IPv4 address."""
     parts = [int(p) for p in address.split(".")]
@@ -435,15 +433,16 @@ def a_rdata(address: str) -> bytes:
 
 def name_rdata(text: str) -> bytes:
     """Uncompressed rdata for NS/CNAME/PTR records."""
-    return Name.from_text(text).to_wire()
+    return pack_rdata(TYPE_CNAME, RdataFields((), (Name.from_text(text),), ()))
 
 
 def mx_rdata(preference: int, exchange: str) -> bytes:
-    return struct.pack(">H", preference) + Name.from_text(exchange).to_wire()
+    return pack_rdata(TYPE_MX, RdataFields((preference,), (Name.from_text(exchange),), ()))
 
 
 def srv_rdata(priority: int, weight: int, port: int, target: str) -> bytes:
-    return struct.pack(">HHH", priority, weight, port) + Name.from_text(target).to_wire()
+    fields = RdataFields((priority, weight, port), (Name.from_text(target),), ())
+    return pack_rdata(TYPE_SRV, fields)
 
 
 def soa_rdata(
@@ -455,8 +454,6 @@ def soa_rdata(
     expire: int,
     minimum: int,
 ) -> bytes:
-    return (
-        Name.from_text(mname).to_wire()
-        + Name.from_text(rname).to_wire()
-        + struct.pack(">IIIII", serial, refresh, retry, expire, minimum)
-    )
+    names = (Name.from_text(mname), Name.from_text(rname))
+    fields = RdataFields((), names, (serial, refresh, retry, expire, minimum))
+    return pack_rdata(TYPE_SOA, fields)

@@ -2,13 +2,16 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_message
 from cborkit import cbor
-from cborkit.cbor import Array, Bytes, Tag, Text, Uint
+from cborkit.cbor import Array, Bytes, CborItem, Tag, Text, Uint
 from cborkit.dnscbor import (
     BadReference,
     CodecContext,
+    DnsCborError,
     ComponentIndex,
     ComponentRef,
     MissingQuestionContext,
@@ -25,13 +28,18 @@ from cborkit.dnswire import (
     DnsMessage,
     Name,
     Question,
+    RDATA_LAYOUTS,
+    RdataFields,
     ResourceRecord,
     TYPE_A,
     TYPE_AAAA,
     TYPE_CNAME,
+    TYPE_MX,
     TYPE_SOA,
+    TYPE_SRV,
     mx_rdata,
     name_rdata,
+    pack_rdata,
     soa_rdata,
     srv_rdata,
 )
@@ -90,9 +98,9 @@ def test_component_referencing_decode_fields():
     assert (q.rtype, q.rclass) == (TYPE_A, CLASS_IN)
     answer = msg.answers[0]
     assert answer.rtype == TYPE_CNAME and answer.ttl == 3218
-    from cborkit.dnswire import unpack_name_rdata
+    from cborkit.dnswire import unpack_rdata
 
-    assert unpack_name_rdata(answer.rdata).to_text() == "example.org"
+    assert unpack_rdata(TYPE_CNAME, answer.rdata).names[0].to_text() == "example.org"
     extra = msg.additional[0]
     assert extra.name.to_text() == "example.org"
     assert extra.rdata == bytes([198, 51, 100, 35])
@@ -508,3 +516,133 @@ def test_round_trip_with_request_context_random():
         # output never degenerates to an empty array
         assert encoded.question_elided == has_content
         assert decode_message(encoded.data, ctx) == msg
+
+
+ALL_MODES = (None, ComponentRef.one_plus_zero(), ComponentRef.one_plus_one())
+_COUNTERS = [Uint(v) for v in (1, 2, 3, 4, 5)]
+
+
+def _plain_response(question: CborItem, rdata_records: list) -> bytes:
+    """A response in plain mode whose answers are (type, rdata item) pairs."""
+    answers = [Array([Uint(60), Uint(rtype), rdata]) for rtype, rdata in rdata_records]
+    return cbor.encode(Array([Array([question, Uint(TYPE_A)]), Array(answers)]))
+
+
+@pytest.mark.parametrize(
+    "rtype, rdata",
+    [
+        (TYPE_MX, Array([Uint(10), Text("a" * 70 + ".com")])),
+        (TYPE_MX, Array([Uint(10), Text("a..com")])),
+        (TYPE_SRV, Array([Uint(1), Uint(2), Uint(3), Text("x\\")])),
+        (TYPE_SOA, Array([Text("\\256"), Text("b"), *_COUNTERS])),
+        (TYPE_SOA, Array([Text("a"), Text("☃" * 22), *_COUNTERS])),
+        # shape: field counts and widths come from the layout
+        (TYPE_MX, Array([Uint(10), Text("a"), Uint(1)])),
+        (TYPE_MX, Array([Uint(1 << 16), Text("a")])),
+        (TYPE_SRV, Array([Uint(1), Uint(2), Uint(1 << 16), Text("a")])),
+        (TYPE_SOA, Array([Text("a"), Text("b"), *_COUNTERS[:4], Uint(1 << 32)])),
+        (TYPE_SOA, Array([Text("a"), Text("b"), *_COUNTERS[:4]])),
+        (TYPE_SOA, Array([Uint(1), Text("b"), *_COUNTERS])),
+        (TYPE_MX, Text("a")),
+    ],
+    ids=["mx-long-label", "mx-empty-label", "srv-dangling-escape", "soa-escape-range",
+         "soa-long-utf8-label", "mx-extra-field", "mx-wide-preference", "srv-wide-port",
+         "soa-wide-counter", "soa-missing-counter", "soa-uint-name", "mx-text"],
+)
+def test_plain_nested_name_and_shape_errors_are_type_mismatch(rtype, rdata):
+    data = _plain_response(Text("example"), [(rtype, rdata)])
+    with pytest.raises(TypeMismatch):
+        decode_message(data, CodecContext(role=ROLE_RESPONSE))
+
+
+def test_structured_rdata_widths_at_their_bounds():
+    data = _plain_response(Text("example"), [
+        (TYPE_MX, Array([Uint(0xFFFF), Text("a")])),
+        (TYPE_SOA, Array([Text("a"), Text("b"), *_COUNTERS[:4], Uint(0xFFFFFFFF)])),
+    ])
+    mx, soa = decode_message(data, CodecContext(role=ROLE_RESPONSE)).answers
+    assert mx.rdata == mx_rdata(0xFFFF, "a")
+    assert soa.rdata == soa_rdata("a", "b", 1, 2, 3, 4, 0xFFFFFFFF)
+
+
+@pytest.mark.parametrize("text", ["é.com", "☃.com", "☃"])
+def test_plain_non_ascii_names_decode_as_in_component_mode(text):
+    labels = tuple(c.encode("utf-8") for c in text.split("."))
+    plain = decode_message(
+        _plain_response(Text(text), [(TYPE_SOA, Array([Text(text), Text("b"), *_COUNTERS]))]),
+        CodecContext(role=ROLE_RESPONSE),
+    )
+    assert plain.questions[0].name.labels == labels
+    want_soa = RdataFields((), (Name(labels), Name((b"b",))), (1, 2, 3, 4, 5))
+    assert plain.answers[0].rdata == pack_rdata(TYPE_SOA, want_soa)
+    ref = ComponentRef.one_plus_zero()
+    components = Array([*(Text(c) for c in text.split(".")), Uint(TYPE_A)])
+    component = decode_message(
+        cbor.encode(Array([components])), CodecContext(role=ROLE_RESPONSE, mode=ref)
+    )
+    assert component.questions[0].name.labels == labels
+
+
+# No ASCII capitals: component mode references a suffix ignoring ASCII
+# case and so would respell a later name in the case of the first.
+_label_texts = st.text("ab-_.\\ \x00\x7féÉ☃", min_size=1, max_size=8)
+_dns_names = st.lists(_label_texts.map(str.encode), max_size=4).map(
+    lambda labels: Name(tuple(labels))
+)
+
+
+@st.composite
+def _name_bearing_records(draw):
+    rtype, (head, count, tail) = draw(st.sampled_from(sorted(RDATA_LAYOUTS.items())))
+
+    def ints(codes):
+        return tuple(draw(st.integers(0, {"H": 0xFFFF, "I": 0xFFFFFFFF}[c])) for c in codes)
+
+    fields = RdataFields(ints(head), tuple(draw(_dns_names) for _ in range(count)), ints(tail))
+    owner = draw(_dns_names)
+    ttl = draw(st.integers(0, 0xFFFFFFFF))
+    return ResourceRecord(owner, rtype, CLASS_IN, ttl, pack_rdata(rtype, fields))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dns_names, st.lists(_name_bearing_records(), min_size=1, max_size=6))
+def test_name_bearing_records_round_trip_in_every_mode(qname, records):
+    msg = DnsMessage(0, 0x8180, [Question(qname, TYPE_A, CLASS_IN)], answers=records)
+    for mode in ALL_MODES:
+        for structured in (True, False):
+            ctx = CodecContext(role=ROLE_RESPONSE, mode=mode, structured_rdata=structured)
+            encoded = encode_message(msg, ctx)
+            assert decode_message(encoded.data, ctx) == msg, cbor.to_diagnostic(encoded.item)
+
+
+_components = st.text(
+    st.characters(blacklist_characters=".\\", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_components, min_size=1, max_size=4))
+def test_same_labels_in_every_mode(components):
+    want = tuple(c.encode("utf-8") for c in components)
+    texts = {None: [Text(".".join(components))]}
+    texts.update({m: [Text(c) for c in components] for m in ALL_MODES[1:]})
+    for mode, name_items in texts.items():
+        data = cbor.encode(Array([Array([*name_items, Uint(TYPE_A)])]))
+        ctx = CodecContext(role=ROLE_QUERY, mode=mode)
+        assert decode_message(data, ctx).questions[0].name.labels == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(), st.text(), st.text())
+def test_plain_text_names_raise_only_dns_cbor_errors(question, exchange, mname):
+    data = _plain_response(Text(question), [
+        (TYPE_MX, Array([Uint(1), Text(exchange)])),
+        (TYPE_SOA, Array([Text(mname), Text("b"), *_COUNTERS])),
+        (TYPE_CNAME, Text(exchange)),
+    ])
+    try:
+        decode_message(data, CodecContext(role=ROLE_RESPONSE))
+    except DnsCborError:
+        pass

@@ -2,6 +2,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_message
 from cborkit.dnswire import (
@@ -13,11 +15,14 @@ from cborkit.dnswire import (
     NameOverflow,
     PointerLoop,
     Question,
+    RDATA_LAYOUTS,
+    RdataFields,
     ResourceRecord,
     SectionOverflow,
     TYPE_A,
     TYPE_CNAME,
     TYPE_MX,
+    TYPE_NS,
     TYPE_OPT,
     TYPE_SOA,
     TYPE_SRV,
@@ -27,12 +32,10 @@ from cborkit.dnswire import (
     encode_wire,
     mx_rdata,
     name_rdata,
+    pack_rdata,
     soa_rdata,
     srv_rdata,
-    unpack_mx_rdata,
-    unpack_name_rdata,
-    unpack_soa_rdata,
-    unpack_srv_rdata,
+    unpack_rdata,
 )
 
 # hand-built wire bytes for the www.example.cz A query (12-byte header,
@@ -165,11 +168,11 @@ def test_rdata_names_compressed_and_expanded():
     assert decode_wire(plain) == msg
     # decoded rdata is always the uncompressed serialization
     again = decode_wire(compressed)
-    assert unpack_name_rdata(again.answers[0].rdata).to_text() == "b.example.org"
-    assert unpack_mx_rdata(again.answers[1].rdata) == (10, Name.from_text("mail.example.org"))
-    soa = unpack_soa_rdata(again.authority[0].rdata)
-    assert soa[0].to_text() == "ns.example.org" and soa[2:] == (1, 2, 3, 4, 5)
-    assert unpack_srv_rdata(again.additional[0].rdata)[3].to_text() == "sv.example.org"
+    assert unpack_rdata(TYPE_CNAME, again.answers[0].rdata).names[0].to_text() == "b.example.org"
+    assert unpack_rdata(TYPE_MX, again.answers[1].rdata) == ((10,), (Name.from_text("mail.example.org"),), ())
+    soa = unpack_rdata(TYPE_SOA, again.authority[0].rdata)
+    assert soa.names[0].to_text() == "ns.example.org" and soa.tail == (1, 2, 3, 4, 5)
+    assert unpack_rdata(TYPE_SRV, again.additional[0].rdata).names[0].to_text() == "sv.example.org"
 
 
 def test_opt_record_carried_verbatim():
@@ -242,6 +245,14 @@ def test_name_text_escaping():
     assert Name.from_text(".") == Name(())
 
 
+def test_name_from_text_non_ascii_is_utf8():
+    assert Name.from_text("é.com").labels == (b"\xc3\xa9", b"com")
+    assert Name.from_text("\\☃").labels == (b"\xe2\x98\x83",)
+    assert Name.from_text("é\\..x").labels == (b"\xc3\xa9.", b"x")
+    with pytest.raises(LabelOverflow):
+        Name.from_text("☃" * 22)  # 66 bytes
+
+
 def test_case_insensitive_compare():
     a = Name.from_text("WWW.Example.ORG")
     b = Name.from_text("www.example.org")
@@ -258,3 +269,56 @@ def test_compress_never_longer_and_round_trip_random():
         assert len(compressed) <= len(plain)
         assert decode_wire(compressed) == msg
         assert decode_wire(plain) == msg
+
+
+@pytest.mark.parametrize(
+    "rtype, rdata",
+    [
+        (TYPE_CNAME, name_rdata("a.example") + b"\x01\x02"),
+        (TYPE_NS, name_rdata("example")[:-1]),  # name never ends
+        (TYPE_MX, mx_rdata(5, "m.example") + b"zz"),
+        (TYPE_MX, b"\x00\x05"),  # no room for the exchange
+        (TYPE_SRV, srv_rdata(1, 2, 3, "s.example") + b"\x00"),
+        (TYPE_SOA, soa_rdata("a.example", "b.example", 1, 2, 3, 4, 5)[:-1]),
+    ],
+    ids=["cname-trailing", "ns-unterminated", "mx-trailing", "mx-no-exchange",
+         "srv-trailing", "soa-short-tail"],
+)
+def test_compression_writes_rdata_off_its_layout_verbatim(rtype, rdata):
+    # the owner shares a suffix with the rdata, so a rewrite would compress
+    msg = DnsMessage(9, 0x8180, [Question(Name.from_text("example"), TYPE_A, CLASS_IN)],
+                     answers=[ResourceRecord(Name.from_text("m.example"), rtype,
+                                             CLASS_IN, 60, rdata)])
+    tail = struct.pack(">H", len(rdata)) + rdata
+    assert encode_wire(msg, compress=True).endswith(tail)
+    assert encode_wire(msg, compress=False).endswith(tail)
+
+
+_labels = st.binary(min_size=1, max_size=20)
+_names = st.lists(_labels, max_size=5).map(lambda labels: Name(tuple(labels)))
+_FIELD_BOUNDS = {"H": 0xFFFF, "I": 0xFFFFFFFF}
+
+
+@st.composite
+def _rdata_fields(draw):
+    rtype, (head, count, tail) = draw(st.sampled_from(sorted(RDATA_LAYOUTS.items())))
+
+    def ints(codes):
+        return tuple(draw(st.integers(0, _FIELD_BOUNDS[c])) for c in codes)
+
+    prefix = ints(head)
+    names = tuple(draw(_names) for _ in range(count))
+    return rtype, RdataFields(prefix, names, ints(tail))
+
+
+@settings(max_examples=300)
+@given(_rdata_fields())
+def test_rdata_layout_round_trip(case):
+    rtype, fields = case
+    rdata = pack_rdata(rtype, fields)
+    assert unpack_rdata(rtype, rdata) == fields
+    # and through the wire codec, compressed or not
+    msg = DnsMessage(1, 0x8180, [Question(Name.from_text("example"), TYPE_A, CLASS_IN)],
+                     answers=[ResourceRecord(Name(), rtype, CLASS_IN, 1, rdata)])
+    for compress in (True, False):
+        assert decode_wire(encode_wire(msg, compress)) == msg
