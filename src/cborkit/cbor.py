@@ -523,22 +523,3 @@ def to_diagnostic(item: CborItem) -> str:
             return "Infinity" if item.value > 0 else "-Infinity"
         return repr(item.value)
     raise CborError("not a CBOR item: %r" % (item,))
-
-
-def lint_duplicate_keys(item: CborItem, path: str = "$") -> list[str]:
-    """Report map paths holding duplicate keys (valid but usually unintended)."""
-    findings: list[str] = []
-    if isinstance(item, Map):
-        seen: list[CborItem] = []
-        for key, value in item.entries:
-            if any(key == other for other in seen):
-                findings.append("%s: duplicate key %s" % (path, to_diagnostic(key)))
-            seen.append(key)
-        for i, (key, value) in enumerate(item.entries):
-            findings.extend(lint_duplicate_keys(value, "%s[%d]" % (path, i)))
-    elif isinstance(item, Array):
-        for i, child in enumerate(item.items):
-            findings.extend(lint_duplicate_keys(child, "%s[%d]" % (path, i)))
-    elif isinstance(item, Tag):
-        findings.extend(lint_duplicate_keys(item.content, path + ".tag"))
-    return findings

@@ -51,7 +51,7 @@ ROLE_RESPONSE = "response"
 DEFAULT_QUERY_FLAGS = 0x0100
 DEFAULT_RESPONSE_FLAGS = 0x8180
 
-# Default reference tag numbers; neither is an IANA assignment.
+# Fixed reference tag numbers, not IANA assignments.
 REF_TAG_1PLUS0 = 7
 REF_TAG_1PLUS1 = 140
 
@@ -82,21 +82,15 @@ class ComponentRef:
 
     tag: int = REF_TAG_1PLUS0
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.tag <= 255:
-            raise DnsCborError("reference tag must fit one byte of argument")
+    @classmethod
+    def one_plus_zero(cls) -> "ComponentRef":
+        """References in a 1-byte tag head."""
+        return cls(REF_TAG_1PLUS0)
 
     @classmethod
-    def one_plus_zero(cls, tag: int = REF_TAG_1PLUS0) -> "ComponentRef":
-        if tag > 23:
-            raise DnsCborError("1+0 reference tag must encode in a 1-byte head")
-        return cls(tag)
-
-    @classmethod
-    def one_plus_one(cls, tag: int = REF_TAG_1PLUS1) -> "ComponentRef":
-        if not 24 <= tag <= 255:
-            raise DnsCborError("1+1 reference tag must need a 2-byte head")
-        return cls(tag)
+    def one_plus_one(cls) -> "ComponentRef":
+        """References in a 2-byte tag head."""
+        return cls(REF_TAG_1PLUS1)
 
 
 CompressionMode = ComponentRef | None
@@ -108,15 +102,13 @@ class CodecContext:
     request_question: Question | None = None
     allow_query_answers: bool = False
     structured_rdata: bool = True
-    default_query_flags: int = DEFAULT_QUERY_FLAGS
-    default_response_flags: int = DEFAULT_RESPONSE_FLAGS
     mode: CompressionMode = None
 
     @property
     def default_flags(self) -> int:
         if self.role == ROLE_RESPONSE:
-            return self.default_response_flags
-        return self.default_query_flags
+            return DEFAULT_RESPONSE_FLAGS
+        return DEFAULT_QUERY_FLAGS
 
 
 def _fold_case(component: str) -> str:

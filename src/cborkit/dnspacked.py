@@ -33,7 +33,8 @@ strings near 64 KiB.)  This picks the same entries, in the same order,
 as rescanning every candidate on every admission.
 
 Lite mode keeps only the text-suffix candidates, so its table is all
-text strings.  Tag and envelope numbers are defaults, not assignments.
+text strings.  The tag and simple-value numbers are fixed numbers, not
+IANA assignments.
 """
 
 from __future__ import annotations
@@ -69,68 +70,64 @@ class TypeMismatch(DnsPackedError):
     pass
 
 
-@dataclass(frozen=True)
-class PackOptions:
-    envelope_tag: int = 113
-    value_tag: int = 6
-    suffix_tag: int = 216
-    prefix_tag: int = 217
-    simple_ref_limit: int = 16  # Simple(i) references for i below this
-    min_prefix_len: int = 3
-
-    @property
-    def reference_tags(self) -> frozenset[int]:
-        return frozenset((self.value_tag, self.suffix_tag, self.prefix_tag))
+# Fixed numbers, not IANA assignments.  Simple(i) references table index i
+# below SIMPLE_REF_LIMIT; VALUE_TAG carries the index less the limit.
+ENVELOPE_TAG = 113
+VALUE_TAG = 6
+SUFFIX_TAG = 216
+PREFIX_TAG = 217
+SIMPLE_REF_LIMIT = 16
+MIN_PREFIX_LEN = 3
+_REFERENCE_TAGS = frozenset((VALUE_TAG, SUFFIX_TAG, PREFIX_TAG))
 
 
 @dataclass
 class PackedEnvelope:
     table: list[CborItem]
     rump: CborItem
-    options: PackOptions = PackOptions()
 
     def to_item(self) -> CborItem:
-        return Tag(self.options.envelope_tag, Array([Array(list(self.table)), self.rump]))
+        return Tag(ENVELOPE_TAG, Array([Array(list(self.table)), self.rump]))
 
     def encode(self) -> bytes:
         return cbor.encode(self.to_item())
 
     @classmethod
-    def from_item(cls, item: CborItem, options: PackOptions = PackOptions()) -> "PackedEnvelope":
-        if not isinstance(item, Tag) or item.number != options.envelope_tag:
-            raise TypeMismatch("expected envelope tag %d" % options.envelope_tag)
+    def from_item(cls, item: CborItem) -> "PackedEnvelope":
+        if not isinstance(item, Tag) or item.number != ENVELOPE_TAG:
+            raise TypeMismatch("expected envelope tag %d" % ENVELOPE_TAG)
         body = item.content
         if not isinstance(body, Array) or len(body.items) != 2:
             raise TypeMismatch("envelope must hold [table, rump]")
         table = body.items[0]
         if not isinstance(table, Array):
             raise TypeMismatch("packing table must be an array")
-        return cls(list(table.items), body.items[1], options)
+        return cls(list(table.items), body.items[1])
 
     @classmethod
-    def from_bytes(cls, data: bytes, options: PackOptions = PackOptions()) -> "PackedEnvelope":
+    def from_bytes(cls, data: bytes) -> "PackedEnvelope":
         item, consumed = cbor.decode(data)
         if consumed != len(data):
             raise TypeMismatch("trailing bytes after envelope")
-        return cls.from_item(item, options)
+        return cls.from_item(item)
 
 
-def _walk(item: CborItem, positions: list[CborItem], opts: PackOptions = PackOptions()) -> None:
+def _walk(item: CborItem, positions: list[CborItem]) -> None:
     """Preorder enumeration; a node's position is its list index.  Input
     that already holds a packing reference is rejected on the way."""
     positions.append(item)
     if isinstance(item, Array):
         for child in item.items:
-            _walk(child, positions, opts)
+            _walk(child, positions)
     elif isinstance(item, Map):
         for key, value in item.entries:
-            _walk(key, positions, opts)
-            _walk(value, positions, opts)
+            _walk(key, positions)
+            _walk(value, positions)
     elif isinstance(item, Tag):
-        if item.number in opts.reference_tags:
+        if item.number in _REFERENCE_TAGS:
             raise AlreadyPacked("input holds reference tag %d" % item.number)
-        _walk(item.content, positions, opts)
-    elif isinstance(item, Simple) and item.value < opts.simple_ref_limit:
+        _walk(item.content, positions)
+    elif isinstance(item, Simple) and item.value < SIMPLE_REF_LIMIT:
         raise AlreadyPacked("input holds reference simple value %d" % item.value)
 
 
@@ -177,7 +174,7 @@ class _Candidate:
             data = data.encode("utf-8", "surrogatepass")
         return (self.first, self.kind, len(data), data)
 
-    def price(self, opts: PackOptions) -> None:
+    def price(self) -> None:
         """Per occurrence, the bytes a reference saves before its index
         is paid for: the original's size less the rest of the reference."""
         self.entry_size = cbor.item_size(self.entry)
@@ -186,7 +183,7 @@ class _Candidate:
         else:
             # tag [head, index] or tag [index, tail]: the tag's head, the
             # array's head and the unshared rest of the string.
-            tag = opts.suffix_tag if self.kind == "suffix" else opts.prefix_tag
+            tag = SUFFIX_TAG if self.kind == "suffix" else PREFIX_TAG
             length = _utf8_len if self.kind == "suffix" else len
             fixed = cbor.head_size(tag) + 1
             shared = length(self.entry.data)  # type: ignore[union-attr]
@@ -197,24 +194,24 @@ class _Candidate:
         self.gain_sum = sum(self.gains.values())
         self.live = len(self.gains)
 
-    def saving(self, index: int, opts: PackOptions) -> int:
+    def saving(self, index: int) -> int:
         """Net saving of admitting this entry at ``index`` now."""
-        return self.gain_sum - self.live * _ref_index_size(self.kind, index, opts) - self.entry_size
+        return self.gain_sum - self.live * _ref_index_size(self.kind, index) - self.entry_size
 
 
-def _ref_index_size(kind: str, index: int, opts: PackOptions) -> int:
+def _ref_index_size(kind: str, index: int) -> int:
     """Bytes a reference to table ``index`` spends on the index itself."""
     if kind != "value":
         return cbor.head_size(index)
-    if index < opts.simple_ref_limit:
-        return 1 if index < 24 else 2  # Simple(index)
-    return cbor.head_size(opts.value_tag) + cbor.head_size(index - opts.simple_ref_limit)
+    if index < SIMPLE_REF_LIMIT:
+        return 1  # Simple(index) below 24 fits its initial byte
+    return cbor.head_size(VALUE_TAG) + cbor.head_size(index - SIMPLE_REF_LIMIT)
 
 
-def _value_ref(index: int, opts: PackOptions) -> CborItem:
-    if index < opts.simple_ref_limit:
+def _value_ref(index: int) -> CborItem:
+    if index < SIMPLE_REF_LIMIT:
         return Simple(index)
-    return Tag(opts.value_tag, Uint(index - opts.simple_ref_limit))
+    return Tag(VALUE_TAG, Uint(index - SIMPLE_REF_LIMIT))
 
 
 def _common_prefix_len(a: bytes, b: bytes) -> int:
@@ -226,9 +223,9 @@ def _common_prefix_len(a: bytes, b: bytes) -> int:
     return n
 
 
-def _candidates(item: CborItem, mode: str, opts: PackOptions) -> list[_Candidate]:
+def _candidates(item: CborItem, mode: str) -> list[_Candidate]:
     positions: list[CborItem] = []
-    _walk(item, positions, opts)
+    _walk(item, positions)
     out: list[_Candidate] = []
     if mode == PACKED_FULL:
         values: dict[CborItem, dict[int, CborItem]] = {}
@@ -255,13 +252,13 @@ def _candidates(item: CborItem, mode: str, opts: PackOptions) -> list[_Candidate
         strings = sorted(
             (node.data, pos)
             for pos, node in enumerate(positions)
-            if isinstance(node, Bytes) and len(node.data) >= opts.min_prefix_len
+            if isinstance(node, Bytes) and len(node.data) >= MIN_PREFIX_LEN
         )
         datas = [data for data, _ in strings]
         prefixes: set[bytes] = set()
         for a, b in zip(datas, datas[1:]):
             n = _common_prefix_len(a, b)
-            if n >= opts.min_prefix_len:
+            if n >= MIN_PREFIX_LEN:
                 prefixes.add(a[:n])
         for prefix in prefixes:
             occs: dict[int, CborItem] = {}
@@ -276,30 +273,30 @@ def _candidates(item: CborItem, mode: str, opts: PackOptions) -> list[_Candidate
     return out
 
 
-def _reference_item(cand: _Candidate, original: CborItem, index: int, opts: PackOptions) -> CborItem:
+def _reference_item(cand: _Candidate, original: CborItem, index: int) -> CborItem:
     if cand.kind == "value":
-        return _value_ref(index, opts)
+        return _value_ref(index)
     if cand.kind == "suffix":
         head = original.data[: len(original.data) - len(cand.entry.data)]  # type: ignore[union-attr]
-        return Tag(opts.suffix_tag, Array([Text(head), Uint(index)]))
+        return Tag(SUFFIX_TAG, Array([Text(head), Uint(index)]))
     tail = original.data[len(cand.entry.data) :]  # type: ignore[union-attr]
-    return Tag(opts.prefix_tag, Array([Uint(index), Bytes(tail)]))
+    return Tag(PREFIX_TAG, Array([Uint(index), Bytes(tail)]))
 
 
-def pack(item: CborItem, mode: str = PACKED_FULL, opts: PackOptions = PackOptions()) -> PackedEnvelope:
+def pack(item: CborItem, mode: str = PACKED_FULL) -> PackedEnvelope:
     if mode not in (PACKED_FULL, PACKED_LITE):
         raise DnsPackedError("unknown packing mode %r" % mode)
-    candidates = _candidates(item, mode, opts)
+    candidates = _candidates(item, mode)
     holders: dict[int, list[int]] = {}  # position -> candidates holding it
     for order, cand in enumerate(candidates):
-        cand.price(opts)
+        cand.price()
         for pos in cand.occurrences:
             holders.setdefault(pos, []).append(order)
     # Each live candidate keeps a heap entry whose key is no lower than
     # its saving (see the module docstring), so a top whose recomputed
     # saving still equals its key beats every other candidate, ties going
     # to the earlier one.
-    heap = [(-cand.saving(0, opts), order) for order, cand in enumerate(candidates)]
+    heap = [(-cand.saving(0), order) for order, cand in enumerate(candidates)]
     heapq.heapify(heap)
     table: list[CborItem] = []
     rewrites: dict[int, CborItem] = {}
@@ -310,7 +307,7 @@ def pack(item: CborItem, mode: str = PACKED_FULL, opts: PackOptions = PackOption
             heapq.heappop(heap)
             continue
         index = len(table)
-        saving = cand.saving(index, opts)
+        saving = cand.saving(index)
         if saving != -key:
             heapq.heapreplace(heap, (-saving, order))
             continue
@@ -322,19 +319,19 @@ def pack(item: CborItem, mode: str = PACKED_FULL, opts: PackOptions = PackOption
         for pos, original in cand.occurrences.items():
             if pos in rewrites:
                 continue
-            rewrites[pos] = _reference_item(cand, original, index, opts)
+            rewrites[pos] = _reference_item(cand, original, index)
             for other in holders[pos]:
                 holder = candidates[other]
                 gain = holder.gains[pos]
                 holder.gain_sum -= gain
                 holder.live -= 1
-                if gain < _ref_index_size(holder.kind, next_index, opts):
+                if gain < _ref_index_size(holder.kind, next_index):
                     risen.add(other)
         for other in risen:
             if not candidates[other].admitted:
-                heapq.heappush(heap, (-candidates[other].saving(next_index, opts), other))
+                heapq.heappush(heap, (-candidates[other].saving(next_index), other))
     rump = _rebuild(item, rewrites, [0])
-    return PackedEnvelope(table, rump, opts)
+    return PackedEnvelope(table, rump)
 
 
 def _rebuild(item: CborItem, rewrites: dict[int, CborItem], counter: list[int]) -> CborItem:
@@ -358,16 +355,13 @@ def _rebuild(item: CborItem, rewrites: dict[int, CborItem], counter: list[int]) 
 
 
 def unpack(env: PackedEnvelope) -> CborItem:
-    opts = env.options
     resolved: list[CborItem] = []
-    for k, entry in enumerate(env.table):
-        resolved.append(_resolve(entry, resolved, opts, in_table=True))
-    return _resolve(env.rump, resolved, opts, in_table=False)
+    for entry in env.table:
+        resolved.append(_resolve(entry, resolved, in_table=True))
+    return _resolve(env.rump, resolved, in_table=False)
 
 
-def _resolve(
-    item: CborItem, table: list[CborItem], opts: PackOptions, in_table: bool
-) -> CborItem:
+def _resolve(item: CborItem, table: list[CborItem], in_table: bool) -> CborItem:
     def lookup(index: int) -> CborItem:
         if index >= len(table):
             if in_table:
@@ -379,36 +373,33 @@ def _resolve(
             )
         return table[index]
 
-    if isinstance(item, Simple) and item.value < opts.simple_ref_limit:
+    if isinstance(item, Simple) and item.value < SIMPLE_REF_LIMIT:
         return lookup(item.value)
     if isinstance(item, Tag):
-        if item.number == opts.value_tag:
+        if item.number == VALUE_TAG:
             content = item.content
             if not isinstance(content, Uint):
                 raise TypeMismatch("value reference must carry an unsigned index")
-            return lookup(content.value + opts.simple_ref_limit)
-        if item.number == opts.suffix_tag:
+            return lookup(content.value + SIMPLE_REF_LIMIT)
+        if item.number == SUFFIX_TAG:
             head, index = _ref_pair(item.content, first_text=True)
             target = lookup(index)
             if not isinstance(target, Text):
                 raise TypeMismatch("suffix reference to a non-text entry")
             return Text(head + target.data)
-        if item.number == opts.prefix_tag:
+        if item.number == PREFIX_TAG:
             tail, index = _ref_pair(item.content, first_text=False)
             target = lookup(index)
             if not isinstance(target, Bytes):
                 raise TypeMismatch("prefix reference to a non-bytes entry")
             return Bytes(target.data + tail)
-        return Tag(item.number, _resolve(item.content, table, opts, in_table))
+        return Tag(item.number, _resolve(item.content, table, in_table))
     if isinstance(item, Array):
-        return Array([_resolve(c, table, opts, in_table) for c in item.items])
+        return Array([_resolve(c, table, in_table) for c in item.items])
     if isinstance(item, Map):
         return Map(
             [
-                (
-                    _resolve(k, table, opts, in_table),
-                    _resolve(v, table, opts, in_table),
-                )
+                (_resolve(k, table, in_table), _resolve(v, table, in_table))
                 for k, v in item.entries
             ]
         )

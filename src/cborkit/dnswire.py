@@ -48,6 +48,10 @@ class SectionOverflow(DnsWireError):
     pass
 
 
+class FieldOverflow(DnsWireError):
+    """An integer field does not fit its fixed width."""
+
+
 TYPE_A = 1
 TYPE_NS = 2
 TYPE_CNAME = 5
@@ -305,7 +309,10 @@ def pack_rdata(rtype: int, fields: RdataFields) -> bytes:
     """The uncompressed rdata of a name-bearing type."""
     head, _, tail = RDATA_LAYOUTS[rtype]
     names = b"".join(name.to_wire() for name in fields.names)
-    return struct.pack(">" + head, *fields.prefix) + names + struct.pack(">" + tail, *fields.tail)
+    try:
+        return struct.pack(">" + head, *fields.prefix) + names + struct.pack(">" + tail, *fields.tail)
+    except struct.error as exc:
+        raise FieldOverflow("rdata field: %s" % exc) from exc
 
 
 def _reencode_rdata(data: bytes, rd_start: int, rd_end: int, rtype: int) -> bytes:
@@ -401,25 +408,28 @@ def encode_wire(msg: DnsMessage, compress: bool = True) -> bytes:
     for section in (msg.questions, msg.answers, msg.authority, msg.additional):
         if len(section) > 0xFFFF:
             raise SectionOverflow("section count exceeds 16 bits")
-    out = bytearray(
-        struct.pack(
-            ">HHHHHH",
-            msg.id,
-            msg.flags,
-            len(msg.questions),
-            len(msg.answers),
-            len(msg.authority),
-            len(msg.additional),
+    try:
+        out = bytearray(
+            struct.pack(
+                ">HHHHHH",
+                msg.id,
+                msg.flags,
+                len(msg.questions),
+                len(msg.answers),
+                len(msg.authority),
+                len(msg.additional),
+            )
         )
-    )
-    comp = _Compressor(compress)
-    for question in msg.questions:
-        comp.emit(out, question.name)
-        out += struct.pack(">HH", question.rtype, question.rclass)
-    for record in (*msg.answers, *msg.authority, *msg.additional):
-        comp.emit(out, record.name)
-        out += struct.pack(">HHI", record.rtype, record.rclass, record.ttl)
-        _emit_rdata(out, record, comp)
+        comp = _Compressor(compress)
+        for question in msg.questions:
+            comp.emit(out, question.name)
+            out += struct.pack(">HH", question.rtype, question.rclass)
+        for record in (*msg.answers, *msg.authority, *msg.additional):
+            comp.emit(out, record.name)
+            out += struct.pack(">HHI", record.rtype, record.rclass, record.ttl)
+            _emit_rdata(out, record, comp)
+    except struct.error as exc:
+        raise FieldOverflow("message field: %s" % exc) from exc
     return bytes(out)
 
 

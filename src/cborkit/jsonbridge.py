@@ -82,14 +82,6 @@ class JsonNumber:
     def as_float(self) -> float:
         return float(self.lexeme)
 
-    @classmethod
-    def from_value(cls, value: int | float) -> "JsonNumber":
-        if isinstance(value, bool):
-            raise JsonBridgeError("bool is not a number")
-        if isinstance(value, int):
-            return cls(str(value))
-        return cls(repr(value))
-
 
 @dataclass
 class JsonObject:
@@ -159,7 +151,10 @@ def parse_json(text: str | bytes) -> JsonValue:
 def minify(value: JsonValue) -> str:
     """Emit without whitespace, preserving key order and number lexemes."""
     parts: list[str] = []
-    _minify_into(parts, value)
+    try:
+        _minify_into(parts, value)
+    except RecursionError as exc:
+        raise JsonBridgeError("nested too deeply to minify") from exc
     return "".join(parts)
 
 

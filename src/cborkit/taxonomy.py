@@ -42,7 +42,7 @@ from .cbor import (
     Uint,
     Undefined,
 )
-from .dnspacked import PackOptions
+from .dnspacked import SIMPLE_REF_LIMIT
 
 
 class TaxonomyError(Exception):
@@ -72,9 +72,6 @@ TIER_1_LIMIT = 100
 TIER_2_LIMIT = 1000
 
 CONTENT_TYPES = ("textual", "numeric", "binary", "taggy", "boolean", "structural")
-
-# Simple values below this bound act as table references in packed items.
-_SIMPLE_REF_LIMIT = PackOptions().simple_ref_limit
 
 _LEAF_CONTENT = {
     Text: "textual",
@@ -140,7 +137,8 @@ def classify(item: CborItem, encoded_size: int) -> TaxonomyRecord:
             # surrogate, which cbor.encode rejects with InvalidUtf8.
             encoded = cbor.encode(node)
             if isinstance(node, Simple):
-                kind = "taggy" if node.value < _SIMPLE_REF_LIMIT else "numeric"
+                # Simple values below the limit are packed-table references.
+                kind = "taggy" if node.value < SIMPLE_REF_LIMIT else "numeric"
             else:
                 kind = _LEAF_CONTENT[type(node)]
         counts[kind] += 1

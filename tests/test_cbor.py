@@ -32,7 +32,6 @@ from cborkit.cbor import (
     encode,
     int_item,
     item_size,
-    lint_duplicate_keys,
     smallest_float_width,
     to_diagnostic,
 )
@@ -267,11 +266,3 @@ def test_diagnostics():
     assert to_diagnostic(Simple(19)) == "simple(19)"
     assert to_diagnostic(Undefined()) == "undefined"
 
-
-def test_duplicate_key_lint():
-    clean = Map([(Text("a"), Uint(1)), (Text("b"), Uint(2))])
-    assert lint_duplicate_keys(clean) == []
-    dup = Map([(Text("a"), Uint(1)), (Text("a"), Uint(2))])
-    assert len(lint_duplicate_keys(dup)) == 1
-    nested = Array([dup])
-    assert len(lint_duplicate_keys(nested)) == 1

@@ -80,6 +80,11 @@ def test_component_referencing_structure():
     )
 
 
+def test_reference_tag_numbers():
+    assert ComponentRef.one_plus_zero().tag == 7  # 1-byte tag head
+    assert ComponentRef.one_plus_one().tag == 140  # 2-byte tag head
+
+
 def test_component_referencing_golden_bytes_and_decode():
     golden = bytes.fromhex((DATA / "cname_referral_compref10.hex").read_text().strip())
     ctx = CodecContext(role=ROLE_RESPONSE, mode=ComponentRef.one_plus_zero())

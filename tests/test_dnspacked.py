@@ -15,7 +15,6 @@ from cborkit.dnspacked import (
     IndexOutOfRange,
     PACKED_FULL,
     PACKED_LITE,
-    PackOptions,
     PackedEnvelope,
     TypeMismatch,
     pack,
@@ -218,20 +217,10 @@ def test_unpack_goldens():
     assert unpack(env) == Text("www.example.org")
 
 
-def test_custom_tag_numbers():
-    opts = PackOptions(envelope_tag=200, value_tag=50, suffix_tag=218, prefix_tag=219)
-    item = Array([Text("a.example.org"), Text("b.example.org")])
-    env = pack(item, PACKED_LITE, opts)
-    assert env.to_item().number == 200
-    assert unpack(env) == item
-    again = PackedEnvelope.from_bytes(env.encode(), opts)
-    assert unpack(again) == item
-
-
 # --- the lazy greedy against the full-rescan greedy it replaced -----------
 
 
-def _oracle_pack(item, mode, opts=PackOptions()):
+def _oracle_pack(item, mode):
     """The earlier packer: every admission rescans every candidate and
     sizes every reference by building it; byte prefixes come from every
     pair of strings."""
@@ -254,7 +243,7 @@ def _oracle_pack(item, mode, opts=PackOptions()):
         strings = [
             (pos, node.data)
             for pos, node in enumerate(positions)
-            if isinstance(node, Bytes) and len(node.data) >= opts.min_prefix_len
+            if isinstance(node, Bytes) and len(node.data) >= dnspacked.MIN_PREFIX_LEN
         ]
         prefixes = set()
         for i in range(len(strings)):
@@ -265,7 +254,7 @@ def _oracle_pack(item, mode, opts=PackOptions()):
                     if x != y:
                         break
                     n += 1
-                if n >= opts.min_prefix_len:
+                if n >= dnspacked.MIN_PREFIX_LEN:
                     prefixes.add(a[:n])
         for prefix in prefixes:
             occs = {pos: positions[pos] for pos, data in strings if data.startswith(prefix)}
@@ -275,13 +264,13 @@ def _oracle_pack(item, mode, opts=PackOptions()):
 
     def reference(kind, entry, original, index):
         if kind == "value":
-            if index < opts.simple_ref_limit:
+            if index < dnspacked.SIMPLE_REF_LIMIT:
                 return Simple(index)
-            return Tag(opts.value_tag, Uint(index - opts.simple_ref_limit))
+            return Tag(dnspacked.VALUE_TAG, Uint(index - dnspacked.SIMPLE_REF_LIMIT))
         if kind == "suffix":
             head = original.data[: len(original.data) - len(entry.data)]
-            return Tag(opts.suffix_tag, Array([Text(head), Uint(index)]))
-        return Tag(opts.prefix_tag, Array([Uint(index), Bytes(original.data[len(entry.data) :])]))
+            return Tag(dnspacked.SUFFIX_TAG, Array([Text(head), Uint(index)]))
+        return Tag(dnspacked.PREFIX_TAG, Array([Uint(index), Bytes(original.data[len(entry.data) :])]))
 
     table, consumed, rewrites = [], set(), {}
     while cands:
@@ -305,7 +294,7 @@ def _oracle_pack(item, mode, opts=PackOptions()):
                 rewrites[pos] = reference(kind, entry, original, index)
                 consumed.add(pos)
         cands.remove(best)
-    return PackedEnvelope(table, dnspacked._rebuild(item, rewrites, [0]), opts)
+    return PackedEnvelope(table, dnspacked._rebuild(item, rewrites, [0]))
 
 
 _labels = st.sampled_from(["a", "b", "example", "org", "com", "x1", "mail", "é"])

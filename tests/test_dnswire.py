@@ -10,6 +10,7 @@ from cborkit.dnswire import (
     BadPointerTarget,
     CLASS_IN,
     DnsMessage,
+    FieldOverflow,
     LabelOverflow,
     Name,
     NameOverflow,
@@ -235,6 +236,27 @@ def test_truncated_inputs():
 def test_section_overflow():
     with pytest.raises(SectionOverflow):
         ResourceRecord(Name(()), 16, CLASS_IN, 0, b"x" * 65536)
+
+
+_A_RECORD_TTL_2_32 = ResourceRecord(Name(()), TYPE_A, CLASS_IN, 2**32, b"\0" * 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pack_rdata(TYPE_MX, RdataFields((70000,), (Name(()),), ())),
+        lambda: mx_rdata(70000, "a"),
+        lambda: srv_rdata(1, 2, 70000, "a"),
+        lambda: soa_rdata("a", "b", 2**32, 1, 2, 3, 4),
+        lambda: encode_wire(DnsMessage(id=70000)),
+        lambda: encode_wire(DnsMessage(answers=[_A_RECORD_TTL_2_32])),
+        lambda: encode_wire(DnsMessage(answers=[_A_RECORD_TTL_2_32]), compress=False),
+    ],
+    ids=["pack_rdata", "mx_rdata", "srv_rdata", "soa_rdata", "id", "ttl", "ttl-uncompressed"],
+)
+def test_integer_wider_than_its_field(build):
+    with pytest.raises(FieldOverflow):
+        build()
 
 
 def test_name_text_escaping():

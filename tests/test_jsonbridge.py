@@ -10,6 +10,7 @@ from cborkit.cbor import Bytes, Map, Nint, Simple, Tag, Text, Uint, Undefined
 from cborkit.jsonbridge import (
     Base64Error,
     ConversionReport,
+    JsonBridgeError,
     JsonNumber,
     JsonObject,
     JsonSyntaxError,
@@ -60,6 +61,14 @@ def test_parse_error_reports_byte_offset():
 def test_parse_rejects_nesting_too_deep_to_parse():
     with pytest.raises(JsonSyntaxError):
         parse_json("[" * 100_000 + "]" * 100_000)
+
+
+def test_minify_rejects_nesting_too_deep():
+    value = None
+    for _ in range(100_000):
+        value = [value]
+    with pytest.raises(JsonBridgeError):
+        minify(value)
 
 
 def _json_depth(value):
