@@ -190,13 +190,14 @@ def compare_modes(
     classic_size = len(encode_wire(msg, compress=True))
     plain = dnscbor.encode_message(msg, ctx(None))
     compref10 = dnscbor.encode_message(msg, ctx(ComponentRef.one_plus_zero()))
+    packed = dnspacked.packed_sizes(plain.item, len(plain.data))
     sizes = {
         "unpacked": len(plain.data),
         "compref10": len(compref10.data),
         # 1+1 differs from 1+0 only in the width of each reference tag's head.
         "compref11": len(compref10.data) + compref10.references * _COMPREF11_EXTRA,
-        "packedlite": len(dnspacked.pack(plain.item, dnspacked.PACKED_LITE).encode()),
-        "packedfull": len(dnspacked.pack(plain.item, dnspacked.PACKED_FULL).encode()),
+        "packedlite": packed[dnspacked.PACKED_LITE],
+        "packedfull": packed[dnspacked.PACKED_FULL],
     }
     return ModeComparison(role, plain.question_elided, classic_size, sizes)
 

@@ -1,21 +1,31 @@
 """Packed envelope: a prepended table of shared values referenced from the rump.
 
-``pack`` runs two passes.  Pass one enumerates candidates over the item
-tree: exact duplicate scalars (full mode), text suffixes at dot
-boundaries shared by two or more strings (both modes), and byte-string
-prefixes of three or more bytes shared by two or more strings (full
-mode; the longest common prefixes of neighbours in sorted order).  A
-candidate is admitted while its net saving stays positive,
+``pack`` runs three steps.  ``_candidates`` enumerates candidates over
+the item tree and prices each one: exact duplicate scalars (full mode),
+text suffixes at dot boundaries shared by two or more strings (both
+modes), and byte-string prefixes of three or more bytes shared by two or
+more strings (full mode; the longest common prefixes of neighbours in
+sorted order).  ``_select`` admits a candidate while its net saving stays
+positive,
 
     saving = sum over unrewritten occurrences (occurrence size - reference size)
              - table entry size,
 
 largest saving first, ties broken by first occurrence in preorder; a
-rewritten string never gets rewritten again.  Pass two substitutes the
-references: whole values become ``Simple(i)`` (or tag 6 above index 15),
-suffixes ``tag 216 [head, i]``, prefixes ``tag 217 [i, tail]``.  The
+rewritten string never gets rewritten again.  ``_rebuild`` substitutes
+the references: whole values become ``Simple(i)`` (or tag 6 above index
+15), suffixes ``tag 216 [head, i]``, prefixes ``tag 217 [i, tail]``.  The
 envelope ``tag 113 [table, rump]`` is emitted even when the table is
 empty, so the no-redundancy penalty is exactly the four envelope bytes.
+
+``packed_sizes`` gives the size of both envelopes without building
+either.  Lite mode's candidates are exactly full mode's suffix
+candidates, in the same order, so one candidate pass feeds both
+selections.  Every byte the envelope adds or removes is in the savings
+and in three heads:
+
+    size = plain size + head(113) + head(2) + head(table length)
+           - sum of the savings at admission.
 
 Selection is lazy (Minoux's accelerated greedy) and sizes come from
 arithmetic on head sizes, not from building references.  An occurrence's
@@ -42,6 +52,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cbor
 from .cbor import Array, Bytes, CborItem, Map, Nint, Simple, Tag, Text, Uint
@@ -162,7 +173,6 @@ class _Candidate:
         self.entry = entry
         self.occurrences = occurrences  # position -> original item there
         self.first = min(occurrences)
-        self.admitted = False
 
     def order_key(self) -> tuple:
         # Earliest occurrence, then kind, then the entry's encoding.  Within
@@ -191,6 +201,10 @@ class _Candidate:
             for pos, original in self.occurrences.items():
                 n = length(original.data)  # type: ignore[union-attr]
                 self.gains[pos] = _string_size(n) - fixed - _string_size(n - shared)
+
+    def reset(self) -> None:
+        """Start a selection run: nothing admitted, nothing rewritten."""
+        self.admitted = False
         self.gain_sum = sum(self.gains.values())
         self.live = len(self.gains)
 
@@ -270,6 +284,8 @@ def _candidates(item: CborItem, mode: str) -> list[_Candidate]:
             out.append(_Candidate("prefix", Bytes(prefix), occs))
     # Deterministic ordering independent of hash seeds.
     out.sort(key=_Candidate.order_key)
+    for cand in out:
+        cand.price()
     return out
 
 
@@ -283,13 +299,19 @@ def _reference_item(cand: _Candidate, original: CborItem, index: int) -> CborIte
     return Tag(PREFIX_TAG, Array([Uint(index), Bytes(tail)]))
 
 
-def pack(item: CborItem, mode: str = PACKED_FULL) -> PackedEnvelope:
-    if mode not in (PACKED_FULL, PACKED_LITE):
-        raise DnsPackedError("unknown packing mode %r" % mode)
-    candidates = _candidates(item, mode)
+class _Admission(NamedTuple):
+    cand: _Candidate
+    index: int  # table index
+    saving: int  # net saving at admission
+
+
+def _select(candidates: list[_Candidate]) -> tuple[list[_Admission], dict[int, _Admission]]:
+    """The lazy greedy over priced candidates: the admissions in table
+    order, and for each rewritten position the admission that rewrites
+    it (the first admitted that holds it)."""
     holders: dict[int, list[int]] = {}  # position -> candidates holding it
     for order, cand in enumerate(candidates):
-        cand.price()
+        cand.reset()
         for pos in cand.occurrences:
             holders.setdefault(pos, []).append(order)
     # Each live candidate keeps a heap entry whose key is no lower than
@@ -298,28 +320,29 @@ def pack(item: CborItem, mode: str = PACKED_FULL) -> PackedEnvelope:
     # to the earlier one.
     heap = [(-cand.saving(0), order) for order, cand in enumerate(candidates)]
     heapq.heapify(heap)
-    table: list[CborItem] = []
-    rewrites: dict[int, CborItem] = {}
+    admissions: list[_Admission] = []
+    rewrites: dict[int, _Admission] = {}
     while heap and heap[0][0] < 0:
         key, order = heap[0]
         cand = candidates[order]
         if cand.admitted:
             heapq.heappop(heap)
             continue
-        index = len(table)
+        index = len(admissions)
         saving = cand.saving(index)
         if saving != -key:
             heapq.heapreplace(heap, (-saving, order))
             continue
         heapq.heappop(heap)
         cand.admitted = True
-        table.append(cand.entry)
+        admission = _Admission(cand, index, saving)
+        admissions.append(admission)
         next_index = index + 1
         risen: set[int] = set()
-        for pos, original in cand.occurrences.items():
+        for pos in cand.occurrences:
             if pos in rewrites:
                 continue
-            rewrites[pos] = _reference_item(cand, original, index)
+            rewrites[pos] = admission
             for other in holders[pos]:
                 holder = candidates[other]
                 gain = holder.gains[pos]
@@ -330,16 +353,45 @@ def pack(item: CborItem, mode: str = PACKED_FULL) -> PackedEnvelope:
         for other in risen:
             if not candidates[other].admitted:
                 heapq.heappush(heap, (-candidates[other].saving(next_index), other))
-    rump = _rebuild(item, rewrites, [0])
-    return PackedEnvelope(table, rump)
+    return admissions, rewrites
 
 
-def _rebuild(item: CborItem, rewrites: dict[int, CborItem], counter: list[int]) -> CborItem:
+def pack(item: CborItem, mode: str = PACKED_FULL) -> PackedEnvelope:
+    if mode not in (PACKED_FULL, PACKED_LITE):
+        raise DnsPackedError("unknown packing mode %r" % mode)
+    admissions, rewrites = _select(_candidates(item, mode))
+    table = [admission.cand.entry for admission in admissions]
+    return PackedEnvelope(table, _rebuild(item, rewrites, [0]))
+
+
+# tag 113 [table, rump]: the tag's head and the two-element array's head.
+_ENVELOPE_OVERHEAD = cbor.head_size(ENVELOPE_TAG) + cbor.head_size(2)
+
+
+def packed_sizes(item: CborItem, plain_size: int) -> dict[str, int]:
+    """``len(pack(item, mode).encode())`` for both modes, where
+    ``plain_size`` is the encoded size of ``item``, without building
+    either envelope."""
+    full = _candidates(item, PACKED_FULL)
+    lite = [cand for cand in full if cand.kind == "suffix"]
+    sizes = {}
+    for mode, candidates in ((PACKED_LITE, lite), (PACKED_FULL, full)):
+        admissions, _ = _select(candidates)
+        sizes[mode] = (
+            plain_size
+            + _ENVELOPE_OVERHEAD
+            + cbor.head_size(len(admissions))
+            - sum(admission.saving for admission in admissions)
+        )
+    return sizes
+
+
+def _rebuild(item: CborItem, rewrites: dict[int, _Admission], counter: list[int]) -> CborItem:
     pos = counter[0]
     counter[0] += 1
-    replacement = rewrites.get(pos)
-    if replacement is not None:
-        return replacement  # only leaves are rewritten
+    admission = rewrites.get(pos)
+    if admission is not None:  # only leaves are rewritten
+        return _reference_item(admission.cand, item, admission.index)
     if isinstance(item, Array):
         return Array([_rebuild(c, rewrites, counter) for c in item.items])
     if isinstance(item, Map):

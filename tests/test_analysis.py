@@ -139,6 +139,34 @@ def test_compare_modes_question_elision_via_request():
     assert with_request.sizes["unpacked"] < without.sizes["unpacked"]
 
 
+@pytest.mark.parametrize("with_request", [False, True])
+def test_compare_modes_sizes_equal_real_encodings(with_request):
+    # Only the plain and compref10 sizes come from bytes compare_modes
+    # builds; compref11 and both packed sizes are derived.
+    rng = random.Random(808 + with_request)
+    for _ in range(200):
+        msg = random_message(rng)
+        role = ROLE_RESPONSE if msg.is_response else ROLE_QUERY
+        request = DnsMessage(0, 0x0100, msg.questions[:1]) if with_request else None
+        question = msg.questions[0] if with_request and role == ROLE_RESPONSE else None
+
+        def encoded(mode):
+            ctx = CodecContext(role=role, request_question=question, mode=mode)
+            return encode_message(msg, ctx)
+
+        plain = encoded(None)
+        want = {
+            "unpacked": len(plain.data),
+            "compref10": len(encoded(ComponentRef.one_plus_zero()).data),
+            "compref11": len(encoded(ComponentRef.one_plus_one()).data),
+            "packedlite": len(dnspacked.pack(plain.item, dnspacked.PACKED_LITE).encode()),
+            "packedfull": len(dnspacked.pack(plain.item, dnspacked.PACKED_FULL).encode()),
+        }
+        comparison = compare_modes(msg, request)
+        assert comparison.sizes == want
+        assert comparison.question_elided == plain.question_elided
+
+
 def test_batch_round_trip_soundness_gate():
     rng = random.Random(40)
     lines = []

@@ -2,10 +2,12 @@
 
 ``perfbench/spans.py`` swaps module attributes of cborkit for tracing
 wrappers.  This installs its tracer over the package, runs one small
-``dns compare``, one ``json analyze`` and one packed round trip through
-the wrapped attributes, and restores them, so a change that renames or
-reshapes one of those entry points fails here rather than only in
-``perfbench/run.py --trace 1``.  Nothing under ``perfbench/`` is written.
+``dns compare``, one ``json analyze`` and a packed round trip in each
+mode through the wrapped attributes, and restores them, so a change that
+renames or reshapes one of those entry points fails here rather than
+only in ``perfbench/run.py --trace 1``.  ``dns compare`` sizes the packed
+modes without ``pack``, so the round trip is what reaches both ``pack``
+spans.  Nothing under ``perfbench/`` is written.
 """
 
 import importlib.util
@@ -54,9 +56,11 @@ def test_traced_commands_run_through_every_wrapped_entry_point(tmp_path):
         msg = messages[0]
         role = dnscbor.ROLE_RESPONSE if msg.is_response else dnscbor.ROLE_QUERY
         ctx = dnscbor.CodecContext(role=role, request_question=None, mode=None)
-        data = dnspacked.pack(dnscbor.encode_message(msg, ctx).item, dnspacked.PACKED_FULL).encode()
-        item = dnspacked.unpack(dnspacked.PackedEnvelope.from_bytes(data))
-        assert dnscbor.item_to_message(item, ctx) == msg
+        plain = dnscbor.encode_message(msg, ctx).item
+        for mode in (dnspacked.PACKED_LITE, dnspacked.PACKED_FULL):
+            data = dnspacked.pack(plain, mode).encode()
+            item = dnspacked.unpack(dnspacked.PackedEnvelope.from_bytes(data))
+            assert dnscbor.item_to_message(item, ctx) == msg
         compref11 = dnscbor.CodecContext(role=role, mode=dnscbor.ComponentRef.one_plus_one())
         assert dnscbor.decode_message(dnscbor.encode_message(msg, compref11).data, compref11) == msg
     finally:

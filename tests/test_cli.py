@@ -234,6 +234,32 @@ def test_dns_compare_parallel_chunks_keep_row_order(tmp_path, capsys):
     assert len(outputs[0].splitlines()) == 1 + 60
 
 
+def test_dns_compare_skips_a_message_raising_a_cbor_error(tmp_path, capsys, monkeypatch):
+    from cborkit import analysis
+
+    rng = random.Random(11)
+    wires = [encode_wire(random_message(rng)) for _ in range(8)]
+    corpus = tmp_path / "corpus.hex"
+    corpus.write_text("".join(wire.hex() + "\n" for wire in wires))
+    full = tmp_path / "full.csv"
+    assert run(["dns", "compare", "--in", str(corpus), "--out", str(full)]) == 0
+    compare_modes = analysis.compare_modes
+
+    def failing_on_the_fourth(msg, *args):
+        if encode_wire(msg) == wires[3]:
+            raise cbor.InvalidUtf8("lone surrogate")
+        return compare_modes(msg, *args)
+
+    monkeypatch.setattr(analysis, "compare_modes", failing_on_the_fourth)
+    out = tmp_path / "report.csv"
+    assert run(["dns", "compare", "--in", str(corpus), "--out", str(out), "--parallel", "1"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("skipped:") == 1
+    assert "message 3 skipped: InvalidUtf8: lone surrogate" in err
+    rows = full.read_text().splitlines()
+    assert out.read_text().splitlines() == rows[:4] + rows[5:]
+
+
 @pytest.mark.parametrize("depth", [200, 600, 1500, 100_000])
 def test_json_analyze_skips_too_deep_file(tmp_path, capsys, depth):
     (tmp_path / "flat.json").write_text("[1]")

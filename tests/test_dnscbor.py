@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_message
-from cborkit import cbor
+from cborkit import cbor, dnspacked
 from cborkit.cbor import Array, Bytes, CborItem, Tag, Text, Uint
 from cborkit.dnscbor import (
     BadReference,
@@ -42,6 +43,7 @@ from cborkit.dnswire import (
     pack_rdata,
     soa_rdata,
     srv_rdata,
+    unpack_rdata,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -651,3 +653,68 @@ def test_plain_text_names_raise_only_dns_cbor_errors(question, exchange, mname):
         decode_message(data, CodecContext(role=ROLE_RESPONSE))
     except DnsCborError:
         pass
+
+
+# --- RFC 4343: round trips are equal up to ASCII case ----------------------
+
+
+def _map_names(msg: DnsMessage, change) -> DnsMessage:
+    """``msg`` with ``change`` applied to every name: questions, owners and
+    the names inside rdata."""
+
+    def record(rr: ResourceRecord) -> ResourceRecord:
+        fields = unpack_rdata(rr.rtype, rr.rdata)
+        rdata = rr.rdata
+        if fields is not None:
+            rdata = pack_rdata(rr.rtype, fields._replace(names=tuple(map(change, fields.names))))
+        return dataclasses.replace(rr, name=change(rr.name), rdata=rdata)
+
+    return dataclasses.replace(
+        msg,
+        questions=[dataclasses.replace(q, name=change(q.name)) for q in msg.questions],
+        answers=[record(rr) for rr in msg.answers],
+        authority=[record(rr) for rr in msg.authority],
+        additional=[record(rr) for rr in msg.additional],
+    )
+
+
+def _mixed_case(rng: random.Random):
+    """Upper-cases a random two fifths of the ASCII lower-case letters."""
+
+    def change(name: Name) -> Name:
+        return Name(tuple(
+            bytes(c - 32 if 0x61 <= c <= 0x7A and rng.random() < 0.4 else c for c in label)
+            for label in name.labels
+        ))
+
+    return change
+
+
+def _folded(name: Name) -> Name:
+    return Name(name.key())
+
+
+@pytest.mark.parametrize("with_request", [False, True])
+def test_round_trips_equal_up_to_ascii_case_in_every_mode(with_request):
+    rng = random.Random(4343 + with_request)
+    for _ in range(150):
+        msg = _map_names(random_message(rng), _mixed_case(rng))
+        role = ROLE_RESPONSE if msg.is_response else ROLE_QUERY
+        question = None
+        if with_request and role == ROLE_RESPONSE:
+            asked = msg.questions[0]
+            question = dataclasses.replace(asked, name=_mixed_case(rng)(asked.name))
+        folded = _map_names(msg, _folded)
+        decoded = {}
+        for mode in ALL_MODES:
+            ctx = CodecContext(role=role, request_question=question, mode=mode)
+            decoded[mode] = decode_message(encode_message(msg, ctx).data, ctx)
+            assert _map_names(decoded[mode], _folded) == folded
+        # The packed modes wrap the plain item, so they decode to exactly
+        # what plain mode decodes.
+        ctx = CodecContext(role=role, request_question=question)
+        plain = encode_message(msg, ctx).item
+        for pmode in (dnspacked.PACKED_LITE, dnspacked.PACKED_FULL):
+            data = dnspacked.pack(plain, pmode).encode()
+            item = dnspacked.unpack(dnspacked.PackedEnvelope.from_bytes(data))
+            assert item_to_message(item, ctx) == decoded[None]

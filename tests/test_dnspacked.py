@@ -18,6 +18,7 @@ from cborkit.dnspacked import (
     PackedEnvelope,
     TypeMismatch,
     pack,
+    packed_sizes,
     unpack,
 )
 
@@ -294,7 +295,28 @@ def _oracle_pack(item, mode):
                 rewrites[pos] = reference(kind, entry, original, index)
                 consumed.add(pos)
         cands.remove(best)
-    return PackedEnvelope(table, dnspacked._rebuild(item, rewrites, [0]))
+    return PackedEnvelope(table, _oracle_rebuild(item, rewrites, [0]))
+
+
+def _oracle_rebuild(item, rewrites, counter):
+    """The item with the node at each preorder position in ``rewrites``
+    replaced by its reference."""
+    pos = counter[0]
+    counter[0] += 1
+    if pos in rewrites:
+        return rewrites[pos]
+    if isinstance(item, Array):
+        return Array([_oracle_rebuild(c, rewrites, counter) for c in item.items])
+    if isinstance(item, Map):
+        return Map(
+            [
+                (_oracle_rebuild(k, rewrites, counter), _oracle_rebuild(v, rewrites, counter))
+                for k, v in item.entries
+            ]
+        )
+    if isinstance(item, Tag):
+        return Tag(item.number, _oracle_rebuild(item.content, rewrites, counter))
+    return item
 
 
 _labels = st.sampled_from(["a", "b", "example", "org", "com", "x1", "mail", "é"])
@@ -321,13 +343,16 @@ def _trees(leaves):
 
 @st.composite
 def _wide_tables(draw):
-    # Enough distinct repeated values that the table passes index 16
-    # (value references widen to tag 6) and index 24/40 (wider indices).
-    count = draw(st.integers(17, 48))
-    tokens = [Text("t%03d.example.org" % i) for i in range(count)]
+    # Enough distinct repeated values and suffixes that the table passes
+    # index 16 (value references widen to tag 6) and 24 (wider indices
+    # and table head) in both modes, and 40 in full mode.  No suffix is
+    # shared by every token: it would be admitted first and leave the
+    # rest nothing to save.
+    count = draw(st.integers(17, 30))
+    tokens = [[Text("%s.t%02d.org" % (head, i)) for head in "ab"] for i in range(count)]
     repeats = draw(st.lists(st.integers(2, 3), min_size=count, max_size=count))
     noise = draw(st.lists(_scalars, max_size=20))
-    return Array([t for t, r in zip(tokens, repeats) for _ in range(r)] + noise)
+    return Array([t for pair, r in zip(tokens, repeats) for t in pair for _ in range(r)] + noise)
 
 
 @settings(max_examples=300, deadline=None)
@@ -348,6 +373,7 @@ def test_pack_and_compref11_size_on_messages():
         item = encode_message(msg, CodecContext(role=role)).item
         for mode in (PACKED_FULL, PACKED_LITE):
             assert pack(item, mode).encode() == _oracle_pack(item, mode).encode()
+        _assert_packed_sizes_exact(item)
         # compare_modes derives the 1+1 size from the 1+0 encoding
         ctx = CodecContext(role=role, mode=ComponentRef.one_plus_one())
         assert compare_modes(msg).sizes["compref11"] == len(encode_message(msg, ctx).data)
@@ -365,3 +391,41 @@ def test_rewriting_a_losing_occurrence_raises_a_saving():
     env = pack(item, PACKED_FULL)
     assert env.table == [Bytes(short), Bytes(prefix), Uint(70000)]
     assert env.encode() == _oracle_pack(item, PACKED_FULL).encode()
+    _assert_packed_sizes_exact(item)
+
+
+# --- packed_sizes against the envelopes it stands for ---------------------
+
+
+def _assert_packed_sizes_exact(item):
+    sizes = packed_sizes(item, len(cbor.encode(item)))
+    assert sizes == {mode: len(pack(item, mode).encode()) for mode in (PACKED_LITE, PACKED_FULL)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_trees(_scalars), _wide_tables()))
+def test_packed_sizes_match_encoded_envelopes(item):
+    _assert_packed_sizes_exact(item)
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        Array([Simple(3)]),
+        Tag(216, Array([Text("x"), Uint(0)])),
+        Map([(Text("k"), Tag(6, Uint(0)))]),
+        Array([Text("a.org"), Text("b.org"), Tag(217, Array([Uint(0), Bytes(b"t")]))]),
+    ],
+)
+def test_packed_sizes_rejects_packed_input_as_pack_does(item):
+    with pytest.raises(AlreadyPacked):
+        pack(item)
+    with pytest.raises(AlreadyPacked):
+        packed_sizes(item, cbor.item_size(item))
+
+
+def test_packed_sizes_with_a_three_byte_table_head():
+    tokens = [Text("token%03d" % i) for i in range(300)]
+    item = Array(tokens + tokens)
+    assert len(pack(item).table) == 300
+    _assert_packed_sizes_exact(item)
