@@ -6,6 +6,13 @@ for a cleaner JSON mapping).  The encoder always emits definite lengths
 and shortest-form integer heads; the decoder additionally accepts
 indefinite-length strings, arrays and maps and normalizes them into the
 definite model.
+
+``head`` and ``_encode_into`` are the one statement of the encoding
+rules: ``item_size`` is the length of ``encode``, and other modules take
+heads and text encodings from ``head``, ``utf8`` and ``text_encoding``
+rather than restating them.  ``head_size`` keeps its own comparisons
+because the packer's arithmetic calls it too often to build a head each
+time; the tests hold it to ``len(head(...))``.
 """
 
 from __future__ import annotations
@@ -173,33 +180,54 @@ class DecodeOptions:
     max_depth: int = DEFAULT_MAX_DEPTH
 
 
+_ONE_BYTE_HEADS = [bytes((initial,)) for initial in range(256)]
+
+
 def head(major: int, argument: int) -> bytes:
     """Shortest-form head for the given major type and argument."""
     base = major << 5
     if argument < 24:
-        return bytes([base | argument])
-    if argument <= 0xFF:
-        return bytes([base | 24, argument])
-    if argument <= 0xFFFF:
+        if argument >= 0:
+            return _ONE_BYTE_HEADS[base | argument]
+    elif argument <= 0xFF:
+        return bytes((base | 24, argument))
+    elif argument <= 0xFFFF:
         return struct.pack(">BH", base | 25, argument)
-    if argument <= 0xFFFFFFFF:
+    elif argument <= 0xFFFFFFFF:
         return struct.pack(">BI", base | 26, argument)
-    if argument <= 0xFFFFFFFFFFFFFFFF:
+    elif argument <= 0xFFFFFFFFFFFFFFFF:
         return struct.pack(">BQ", base | 27, argument)
-    raise CborError("argument exceeds 64 bits: %d" % argument)
+    raise CborError("argument outside 0 .. 2**64 - 1: %d" % argument)
 
 
 def head_size(argument: int) -> int:
     """Length of the shortest-form head carrying ``argument``."""
     if argument < 24:
-        return 1
-    if argument <= 0xFF:
+        if argument >= 0:
+            return 1
+    elif argument <= 0xFF:
         return 2
-    if argument <= 0xFFFF:
+    elif argument <= 0xFFFF:
         return 3
-    if argument <= 0xFFFFFFFF:
+    elif argument <= 0xFFFFFFFF:
         return 5
-    return 9
+    elif argument <= 0xFFFFFFFFFFFFFFFF:
+        return 9
+    raise CborError("argument outside 0 .. 2**64 - 1: %d" % argument)
+
+
+def utf8(text: str) -> bytes:
+    """The UTF-8 payload of a text string; a lone surrogate raises InvalidUtf8."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidUtf8(str(exc)) from exc
+
+
+def text_encoding(text: str) -> bytes:
+    """The encoding of ``Text(text)``: its head, then its UTF-8 payload."""
+    data = utf8(text)
+    return head(3, len(data)) + data
 
 
 def _width_fits(fmt: str, value: float) -> bool:
@@ -250,97 +278,63 @@ def encode(item: CborItem, opts: EncodeOptions = EncodeOptions()) -> bytes:
     return bytes(out)
 
 
+def item_size(item: CborItem, opts: EncodeOptions = EncodeOptions()) -> int:
+    """Encoded size in bytes: the length of ``encode(item, opts)``, and it
+    raises whatever ``encode`` raises."""
+    # Not len(encode(...)): that copies the buffer, and a wrapper that
+    # traces ``encode`` would count each size query as an encode.
+    out = bytearray()
+    _encode_into(out, item, opts, opts.max_depth)
+    return len(out)
+
+
 def _encode_into(out: bytearray, item: CborItem, opts: EncodeOptions, depth: int) -> None:
     if depth < 0:
         raise DepthExceeded("item tree deeper than %d" % opts.max_depth)
-    if isinstance(item, Uint):
-        out += head(0, item.value)
-    elif isinstance(item, Nint):
-        out += head(1, item.n)
-    elif isinstance(item, Bytes):
-        out += head(2, len(item.data))
-        out += item.data
-    elif isinstance(item, Text):
-        try:
-            data = item.data.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise InvalidUtf8(str(exc)) from exc
+    # One branch per item class, the most frequent first.
+    kind = type(item)
+    if kind is Text:
+        data = utf8(item.data)
         out += head(3, len(data))
         out += data
-    elif isinstance(item, Array):
+    elif kind is Uint:
+        out += head(0, item.value)
+    elif kind is Array:
         out += head(4, len(item.items))
         for child in item.items:
             _encode_into(out, child, opts, depth - 1)
-    elif isinstance(item, Map):
+    elif kind is Map:
         out += head(5, len(item.entries))
         for key, value in item.entries:
             _encode_into(out, key, opts, depth - 1)
             _encode_into(out, value, opts, depth - 1)
-    elif isinstance(item, Tag):
+    elif kind is Bytes:
+        out += head(2, len(item.data))
+        out += item.data
+    elif kind is Tag:
         out += head(6, item.number)
         _encode_into(out, item.content, opts, depth - 1)
-    elif isinstance(item, Bool):
+    elif kind is Nint:
+        out += head(1, item.n)
+    elif kind is Bool:
         out.append(0xF5 if item.value else 0xF4)
-    elif isinstance(item, Null):
+    elif kind is Null:
         out.append(0xF6)
-    elif isinstance(item, Undefined):
+    elif kind is Undefined:
         out.append(0xF7)
-    elif isinstance(item, Simple):
+    elif kind is Simple:
         v = item.value
-        if 20 <= v <= 31:
-            raise InvalidSimple("simple value %d is a literal or reserved head" % v)
         if 0 <= v <= 19:
             out.append(0xE0 | v)
         elif 32 <= v <= 255:
-            out += bytes([0xF8, v])
+            out += bytes((0xF8, v))
         else:
-            raise InvalidSimple("simple value out of range: %d" % v)
-    elif isinstance(item, Float):
+            # 20..31 are the literals and reserved heads of major type 7.
+            raise InvalidSimple("simple value %d is not in 0..19 or 32..255" % v)
+    elif kind is Float:
         out += _float_bytes(item, opts.float_mode)
     else:
         raise CborError("not a CBOR item: %r" % (item,))
-
-
-def item_size(item: CborItem, opts: EncodeOptions = EncodeOptions()) -> int:
-    """Encoded size in bytes without materializing scalar payloads."""
-    return _item_size(item, opts, opts.max_depth)
-
-
-def _item_size(item: CborItem, opts: EncodeOptions, depth: int) -> int:
-    if depth < 0:
-        raise DepthExceeded("item tree deeper than %d" % opts.max_depth)
-    if isinstance(item, Uint):
-        return head_size(item.value)
-    if isinstance(item, Nint):
-        return head_size(item.n)
-    if isinstance(item, Bytes):
-        return head_size(len(item.data)) + len(item.data)
-    if isinstance(item, Text):
-        try:
-            n = len(item.data.encode("utf-8"))
-        except UnicodeEncodeError as exc:
-            raise InvalidUtf8(str(exc)) from exc
-        return head_size(n) + n
-    if isinstance(item, Array):
-        return head_size(len(item.items)) + sum(
-            _item_size(c, opts, depth - 1) for c in item.items
-        )
-    if isinstance(item, Map):
-        return head_size(len(item.entries)) + sum(
-            _item_size(k, opts, depth - 1) + _item_size(v, opts, depth - 1)
-            for k, v in item.entries
-        )
-    if isinstance(item, Tag):
-        return head_size(item.number) + _item_size(item.content, opts, depth - 1)
-    if isinstance(item, (Bool, Null, Undefined)):
-        return 1
-    if isinstance(item, Simple):
-        if 20 <= item.value <= 31 or not 0 <= item.value <= 255:
-            raise InvalidSimple("simple value out of range: %d" % item.value)
-        return 1 if item.value <= 19 else 2
-    if isinstance(item, Float):
-        return len(_float_bytes(item, opts.float_mode))
-    raise CborError("not a CBOR item: %r" % (item,))
 
 
 class _Reader:

@@ -151,15 +151,10 @@ def _dot_suffixes(text: str) -> list[tuple[str, str]]:
     return splits
 
 
-def _utf8_len(text: str) -> int:
-    try:
-        return len(text.encode("utf-8"))
-    except UnicodeEncodeError as exc:
-        raise cbor.InvalidUtf8(str(exc)) from exc
-
-
-def _string_size(n: int) -> int:
-    return cbor.head_size(n) + n
+def _payload_len(string: CborItem) -> int:
+    """Payload length in bytes of a Text or Bytes item."""
+    data = string.data  # type: ignore[union-attr]
+    return len(cbor.utf8(data) if isinstance(data, str) else data)
 
 
 class _Candidate:
@@ -192,15 +187,16 @@ class _Candidate:
             self.gains = dict.fromkeys(self.occurrences, self.entry_size)
         else:
             # tag [head, index] or tag [index, tail]: the tag's head, the
-            # array's head and the unshared rest of the string.
+            # array's head and the unshared rest of the string.  So the
+            # reference drops the shared bytes and narrows the string's head.
             tag = SUFFIX_TAG if self.kind == "suffix" else PREFIX_TAG
-            length = _utf8_len if self.kind == "suffix" else len
             fixed = cbor.head_size(tag) + 1
-            shared = length(self.entry.data)  # type: ignore[union-attr]
+            shared = _payload_len(self.entry)
             self.gains = {}
             for pos, original in self.occurrences.items():
-                n = length(original.data)  # type: ignore[union-attr]
-                self.gains[pos] = _string_size(n) - fixed - _string_size(n - shared)
+                n = _payload_len(original)
+                narrowed = cbor.head_size(n) - cbor.head_size(n - shared)
+                self.gains[pos] = shared + narrowed - fixed
 
     def reset(self) -> None:
         """Start a selection run: nothing admitted, nothing rewritten."""
@@ -244,7 +240,13 @@ def _candidates(item: CborItem, mode: str) -> list[_Candidate]:
     if mode == PACKED_FULL:
         values: dict[CborItem, dict[int, CborItem]] = {}
         for pos, node in enumerate(positions):
-            if isinstance(node, (Text, Bytes, Uint, Nint)) and cbor.item_size(node) >= 2:
+            # Scalars whose encoding is 2 bytes or more: a non-empty string,
+            # or an integer whose argument does not fit the initial byte.
+            if (
+                isinstance(node, (Text, Bytes)) and node.data
+                or isinstance(node, Uint) and node.value >= 24
+                or isinstance(node, Nint) and node.n >= 24
+            ):
                 values.setdefault(node, {})[pos] = node
         for node, occs in values.items():
             if len(occs) >= 2:
@@ -371,7 +373,8 @@ _ENVELOPE_OVERHEAD = cbor.head_size(ENVELOPE_TAG) + cbor.head_size(2)
 def packed_sizes(item: CborItem, plain_size: int) -> dict[str, int]:
     """``len(pack(item, mode).encode())`` for both modes, where
     ``plain_size`` is the encoded size of ``item``, without building
-    either envelope."""
+    either envelope.  That precondition means ``item`` encodes, so every
+    text string in it is valid UTF-8."""
     full = _candidates(item, PACKED_FULL)
     lite = [cand for cand in full if cand.kind == "suffix"]
     sizes = {}

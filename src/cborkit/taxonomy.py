@@ -74,7 +74,6 @@ TIER_2_LIMIT = 1000
 CONTENT_TYPES = ("textual", "numeric", "binary", "taggy", "boolean", "structural")
 
 _LEAF_CONTENT = {
-    Text: "textual",
     Uint: "numeric",
     Nint: "numeric",
     Float: "numeric",
@@ -112,11 +111,9 @@ def classify(item: CborItem, encoded_size: int) -> TaxonomyRecord:
         nonlocal redundant, nested
         if depth < 0:
             raise cbor.DepthExceeded("item tree deeper than %d" % cbor.DEFAULT_MAX_DEPTH)
-        if isinstance(node, Text) and node.data.isascii():
-            # Most JSON leaves are ASCII text, whose length in bytes is its
-            # length in characters.
+        if isinstance(node, Text):
             kind = "textual"
-            encoded = cbor.head(3, len(node.data)) + node.data.encode("ascii")
+            encoded = cbor.text_encoding(node.data)
         elif isinstance(node, Array):
             nested = nested or inside
             kind = "structural"
@@ -133,8 +130,6 @@ def classify(item: CborItem, encoded_size: int) -> TaxonomyRecord:
             kind = "taggy"
             encoded = cbor.head(6, node.number) + visit(node.content, depth - 1, inside)
         else:
-            # Every other leaf, including text that may hold a lone
-            # surrogate, which cbor.encode rejects with InvalidUtf8.
             encoded = cbor.encode(node)
             if isinstance(node, Simple):
                 # Simple values below the limit are packed-table references.

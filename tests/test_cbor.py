@@ -11,6 +11,7 @@ from cborkit.cbor import (
     Array,
     Bool,
     Bytes,
+    CborError,
     DecodeOptions,
     DepthExceeded,
     EncodeOptions,
@@ -30,6 +31,8 @@ from cborkit.cbor import (
     Undefined,
     decode,
     encode,
+    head,
+    head_size,
     int_item,
     item_size,
     smallest_float_width,
@@ -192,6 +195,34 @@ def test_shortest_form_boundaries():
                       (65536, 5), (2**32 - 1, 5), (2**32, 9), (2**64 - 1, 9)]:
         assert len(encode(Uint(n))) == length
         assert len(encode(Nint(n))) == length
+
+
+@pytest.mark.parametrize("major", range(8))
+@pytest.mark.parametrize(
+    "argument",
+    [-1, 0, 23, 24, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1, 2**64],
+)
+def test_head_size_is_head_length(major, argument):
+    if 0 <= argument < 2**64:
+        assert head_size(argument) == len(head(major, argument))
+    else:
+        with pytest.raises(CborError):
+            head(major, argument)
+        with pytest.raises(CborError):
+            head_size(argument)
+
+
+@pytest.mark.parametrize(
+    "item",
+    [Uint(2**64), Nint(2**64), Tag(2**64, Uint(0)), Uint(-1), Tag(-3, Uint(0))],
+    ids=repr,
+)
+def test_item_size_raises_as_encode(item):
+    with pytest.raises(CborError) as encoded:
+        encode(item)
+    with pytest.raises(CborError) as sized:
+        item_size(item)
+    assert type(sized.value) is type(encoded.value)
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))

@@ -88,6 +88,17 @@ def test_single_byte_scalars_never_packed():
     assert env.table == []  # 1-byte encodings cannot shrink
 
 
+@pytest.mark.parametrize(
+    "node",
+    [Uint(23), Uint(24), Nint(23), Nint(24), Text(""), Text("a"), Bytes(b""), Bytes(b"a")],
+    ids=repr,
+)
+def test_duplicate_values_are_candidates_from_two_bytes(node):
+    candidates = dnspacked._candidates(Array([node, node]), PACKED_FULL)
+    values = [cand.entry for cand in candidates if cand.kind == "value"]
+    assert values == ([node] if len(cbor.encode(node)) >= 2 else [])
+
+
 def test_many_addresses_with_shared_prefix_pack_below_unpacked():
     # 1454 four-byte strings over a shared 3-byte prefix force whole-value
     # duplicates (pigeonhole), and those value references carry the win; a
