@@ -42,7 +42,17 @@ class UnsupportedLinkType(AnalysisError):
     pass
 
 
-MODES = ("unpacked", "compref10", "compref11", "packedlite", "packedfull")
+# The five DNS encodings, in CSV column order: mode name -> (component
+# references or None, pack mode or None).  Plain CBOR and the 1+0 and 1+1
+# reference tags follow draft-lenders-dns-cbor; the packed modes pack the
+# plain item (draft-ietf-cbor-packed).
+MODES = {
+    "unpacked": (None, None),
+    "compref10": (ComponentRef.one_plus_zero(), None),
+    "compref11": (ComponentRef.one_plus_one(), None),
+    "packedlite": (None, dnspacked.PACKED_LITE),
+    "packedfull": (None, dnspacked.PACKED_FULL),
+}
 
 CSV_COLUMNS = ["role", "question_elided", "classic_size"] + [
     "%s_%s" % (mode, col) for mode in MODES for col in ("size", "b", "g")
@@ -164,9 +174,26 @@ class ModeComparison:
         return compute_savings(self.classic_size, self.sizes[mode])
 
 
-_COMPREF11_EXTRA = cbor.head_size(dnscbor.REF_TAG_1PLUS1) - cbor.head_size(
-    dnscbor.REF_TAG_1PLUS0
-)
+def encode_in_mode(msg: DnsMessage, ctx: CodecContext, mode: str) -> dnscbor.EncodedMessage:
+    """Encode ``msg`` in one of ``MODES``; ``data`` holds the mode's bytes
+    and ``item`` the unpacked item."""
+    ctx.mode, pack_mode = MODES[mode]
+    encoded = dnscbor.encode_message(msg, ctx)
+    if pack_mode is not None:
+        encoded.data = dnspacked.pack(encoded.item, pack_mode).encode()
+    return encoded
+
+
+def decode_in_mode(data: bytes, ctx: CodecContext, mode: str) -> DnsMessage:
+    ctx.mode, pack_mode = MODES[mode]
+    if pack_mode is None:
+        return dnscbor.decode_message(data, ctx)
+    item = dnspacked.unpack(dnspacked.PackedEnvelope.from_bytes(data))
+    return dnscbor.item_to_message(item, ctx)
+
+
+# compare_modes encodes in this component mode only and derives the others.
+_REF_BASE = ComponentRef.one_plus_zero()
 
 
 def compare_modes(
@@ -178,27 +205,24 @@ def compare_modes(
     request_question = None
     if role == ROLE_RESPONSE and request is not None and request.questions:
         request_question = request.questions[0]
-
-    def ctx(mode: ComponentRef | None) -> CodecContext:
-        return CodecContext(
-            role=role,
-            request_question=request_question,
-            allow_query_answers=allow_query_answers,
-            mode=mode,
-        )
-
     classic_size = len(encode_wire(msg, compress=True))
-    plain = dnscbor.encode_message(msg, ctx(None))
-    compref10 = dnscbor.encode_message(msg, ctx(ComponentRef.one_plus_zero()))
+    plain = dnscbor.encode_message(
+        msg, CodecContext(role, request_question, allow_query_answers)
+    )
+    refs = dnscbor.encode_message(
+        msg, CodecContext(role, request_question, allow_query_answers, mode=_REF_BASE)
+    )
     packed = dnspacked.packed_sizes(plain.item, len(plain.data))
-    sizes = {
-        "unpacked": len(plain.data),
-        "compref10": len(compref10.data),
-        # 1+1 differs from 1+0 only in the width of each reference tag's head.
-        "compref11": len(compref10.data) + compref10.references * _COMPREF11_EXTRA,
-        "packedlite": packed[dnspacked.PACKED_LITE],
-        "packedfull": packed[dnspacked.PACKED_FULL],
-    }
+    sizes = {}
+    for mode, (ref, pack_mode) in MODES.items():
+        if pack_mode is not None:
+            sizes[mode] = packed[pack_mode]
+        elif ref is None:
+            sizes[mode] = len(plain.data)
+        else:
+            # Component modes differ only in the width of each reference tag's head.
+            extra = cbor.head_size(ref.tag) - cbor.head_size(_REF_BASE.tag)
+            sizes[mode] = len(refs.data) + refs.references * extra
     return ModeComparison(role, plain.question_elided, classic_size, sizes)
 
 

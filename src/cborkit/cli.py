@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import analysis, cbor, dnscbor, dnspacked, jsonbridge, taxonomy
 from .cbor import EncodeOptions
-from .dnscbor import CodecContext, ComponentRef, ROLE_QUERY, ROLE_RESPONSE
+from .dnscbor import CodecContext, ROLE_QUERY, ROLE_RESPONSE
 from .dnswire import (
     CLASS_IN,
     DnsMessage,
@@ -34,8 +34,6 @@ from .dnswire import (
 )
 
 FLOAT_MODES = (cbor.FLOAT_PRESERVE, cbor.FLOAT_FORCE_DOUBLE, cbor.FLOAT_SMALLEST)
-
-DNS_MODES = ("none", "compref10", "compref11", "packedlite", "packedfull")
 
 BENCH_TARGETS = ("json", "cbor", "dnswire", "dnscbor")
 
@@ -87,24 +85,18 @@ def _report_flags(report: jsonbridge.ConversionReport) -> None:
         print("note: %s" % flag, file=sys.stderr)
 
 
-def _make_context(args, role: str) -> CodecContext:
-    mode: ComponentRef | None = None
-    if args.mode == "compref10":
-        mode = ComponentRef.one_plus_zero()
-    elif args.mode == "compref11":
-        mode = ComponentRef.one_plus_one()
+def _make_context(args) -> CodecContext:
     request_question = None
-    if getattr(args, "request", None):
+    if args.request:
         request = decode_wire(_read_bytes(args.request))
         if not request.questions:
             raise CliError("request file carries no question")
         request_question = request.questions[0]
     return CodecContext(
-        role=role,
+        role=ROLE_RESPONSE if args.role == "r" else ROLE_QUERY,
         request_question=request_question,
         allow_query_answers=args.query_answers,
         structured_rdata=not args.opaque_rdata,
-        mode=mode,
     )
 
 
@@ -251,46 +243,37 @@ def _cmd_json_analyze(args) -> int:
 
 
 def _cmd_dns_to_cbor(args) -> int:
-    role = ROLE_RESPONSE if args.role == "r" else ROLE_QUERY
     msg = decode_wire(_read_bytes(args.infile))
-    ctx = _make_context(args, role)
-    encoded = dnscbor.encode_message(msg, ctx)
+    encoded = analysis.encode_in_mode(msg, _make_context(args), args.mode)
     if encoded.dropped_answers:
         print(
             "note: %d query answer record(s) dropped" % encoded.dropped_answers,
             file=sys.stderr,
         )
-    data = encoded.data
-    if args.mode == "packedlite":
-        data = dnspacked.pack(encoded.item, dnspacked.PACKED_LITE).encode()
-    elif args.mode == "packedfull":
-        data = dnspacked.pack(encoded.item, dnspacked.PACKED_FULL).encode()
-    _write_output(data, args.out, args.hex)
+    _write_output(encoded.data, args.out, args.hex)
     return 0
 
 
 def _cmd_dns_from_cbor(args) -> int:
-    role = ROLE_RESPONSE if args.role == "r" else ROLE_QUERY
     data = _load_cbor_input(args.infile, args.hex)
-    ctx = _make_context(args, role)
-    if args.mode in ("packedlite", "packedfull"):
-        item = dnspacked.unpack(dnspacked.PackedEnvelope.from_bytes(data))
-        msg = dnscbor.item_to_message(item, ctx)
-    else:
-        msg = dnscbor.decode_message(data, ctx)
+    msg = analysis.decode_in_mode(data, _make_context(args), args.mode)
     _write_output(encode_wire(msg, compress=not args.no_compress), args.out, args.hex)
     return 0
+
+
+def _report_pcap(stats: analysis.PcapStats) -> None:
+    print(
+        "pcap: %d packets, %d decoded, %d non-DNS, %d undecodable"
+        % (stats.packets, stats.decoded, stats.skipped_non_dns, stats.decode_errors),
+        file=sys.stderr,
+    )
 
 
 def _load_corpus(path: str):
     data = _read_bytes(path)
     if len(data) >= 4 and data[:4] in (b"\xa1\xb2\xc3\xd4", b"\xd4\xc3\xb2\xa1"):
         records, stats = analysis.ingest_pcap(data)
-        print(
-            "pcap: %d packets, %d decoded, %d non-DNS, %d undecodable"
-            % (stats.packets, stats.decoded, stats.skipped_non_dns, stats.decode_errors),
-            file=sys.stderr,
-        )
+        _report_pcap(stats)
         return records
     records, errors = analysis.ingest_hex(data.decode("utf-8", errors="replace").splitlines())
     for error in errors:
@@ -298,21 +281,11 @@ def _load_corpus(path: str):
     return records
 
 
-# The declared error families of the modules compare_modes runs through.
-_COMPARE_ERRORS = (
-    analysis.AnalysisError,
-    cbor.CborError,
-    dnscbor.DnsCborError,
-    dnspacked.DnsPackedError,
-    DnsWireError,
-)
-
-
 def _compare_one(task):
     msg, request, allow = task
     try:
         return analysis.compare_modes(msg, request, allow)
-    except _COMPARE_ERRORS as exc:
+    except Exception as exc:  # one bad message never ends the batch
         return "%s: %s" % (type(exc).__name__, exc)
 
 
@@ -358,11 +331,7 @@ def _cmd_pcap_extract(args) -> int:
     records, stats = analysis.ingest_pcap(_read_bytes(args.infile))
     lines = [encode_wire(record.message).hex() for record in records]
     _write_text("\n".join(lines) + ("\n" if lines else ""), args.out)
-    print(
-        "pcap: %d packets, %d decoded, %d non-DNS, %d undecodable"
-        % (stats.packets, stats.decoded, stats.skipped_non_dns, stats.decode_errors),
-        file=sys.stderr,
-    )
+    _report_pcap(stats)
     return 0
 
 
@@ -437,7 +406,13 @@ def _add_io(parser, out_required: bool = False) -> None:
 
 def _add_dns_mode(parser) -> None:
     parser.add_argument("--role", choices=("q", "r"), required=True)
-    parser.add_argument("--mode", choices=DNS_MODES, default="none")
+    parser.add_argument(
+        "--mode",
+        # The older name of the plain mode is still accepted, and is the default.
+        type=lambda name: "unpacked" if name == "none" else name,
+        choices=analysis.MODES,
+        default="none",
+    )
     parser.add_argument("--request", help="wire-format request for question elision")
     parser.add_argument(
         "--query-answers",

@@ -472,16 +472,6 @@ class _Decoder:
         return element.data, i + 1
 
 
-def _is_question_shape(element: CborItem, ctx: CodecContext) -> bool:
-    if not isinstance(element, Array) or not element.items:
-        return False
-    first = element.items[0]
-    if isinstance(first, Text):
-        return True
-    mode = ctx.mode
-    return mode is not None and isinstance(first, Tag) and first.number == mode.tag
-
-
 def item_to_message(item: CborItem, ctx: CodecContext) -> DnsMessage:
     if not isinstance(item, Array):
         raise TypeMismatch("message must be a CBOR array")
@@ -495,8 +485,13 @@ def item_to_message(item: CborItem, ctx: CodecContext) -> DnsMessage:
         flags = _expect_uint(elems[i], 16, "flags")
         i += 1
     question: Question | None = None
-    if i < len(elems) and _is_question_shape(elems[i], ctx):
-        question = decoder.parse_question(elems[i])
+    element = elems[i] if i < len(elems) else None
+    if (
+        isinstance(element, Array)
+        and element.items
+        and (isinstance(element.items[0], Text) or decoder.is_ref(element.items[0]))
+    ):
+        question = decoder.parse_question(element)
         i += 1
     if question is None:
         if ctx.role != ROLE_RESPONSE:

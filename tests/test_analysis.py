@@ -10,6 +10,7 @@ from conftest import (
     random_message,
 )
 from cborkit.analysis import (
+    MODES,
     AddressPair,
     BadMagic,
     FamilyMismatch,
@@ -19,6 +20,7 @@ from cborkit.analysis import (
     common_suffix_bytes,
     common_suffix_components,
     compare_modes,
+    encode_in_mode,
     ingest_hex,
     ingest_pcap,
     message_pair_stats,
@@ -151,17 +153,11 @@ def test_compare_modes_sizes_equal_real_encodings(with_request):
         question = msg.questions[0] if with_request and role == ROLE_RESPONSE else None
 
         def encoded(mode):
-            ctx = CodecContext(role=role, request_question=question, mode=mode)
-            return encode_message(msg, ctx)
+            ctx = CodecContext(role=role, request_question=question)
+            return encode_in_mode(msg, ctx, mode)
 
-        plain = encoded(None)
-        want = {
-            "unpacked": len(plain.data),
-            "compref10": len(encoded(ComponentRef.one_plus_zero()).data),
-            "compref11": len(encoded(ComponentRef.one_plus_one()).data),
-            "packedlite": len(dnspacked.pack(plain.item, dnspacked.PACKED_LITE).encode()),
-            "packedfull": len(dnspacked.pack(plain.item, dnspacked.PACKED_FULL).encode()),
-        }
+        plain = encoded("unpacked")
+        want = {mode: len(encoded(mode).data) for mode in MODES}
         comparison = compare_modes(msg, request)
         assert comparison.sizes == want
         assert comparison.question_elided == plain.question_elided

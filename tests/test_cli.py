@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import build_pcap, build_udp_frame, random_message
-from cborkit import cbor
+from cborkit import analysis, cbor
 from cborkit.cli import run
 from cborkit.jsonbridge import json_to_cbor, parse_json
 from cborkit.dnswire import (
@@ -113,7 +113,7 @@ def test_json_analyze(tmp_path):
 def test_dns_conversion_round_trip(tmp_path):
     wire = tmp_path / "msg.bin"
     wire.write_bytes(encode_wire(cname_referral_response()))
-    for mode in ("none", "compref10", "compref11", "packedlite", "packedfull"):
+    for mode in (*analysis.MODES, "none"):
         out = tmp_path / ("m.%s.cbor" % mode)
         back = tmp_path / ("m.%s.bin" % mode)
         assert run(["dns", "to-cbor", "--in", str(wire), "--out", str(out),
@@ -121,6 +121,22 @@ def test_dns_conversion_round_trip(tmp_path):
         assert run(["dns", "from-cbor", "--in", str(out), "--out", str(back),
                     "--role", "r", "--mode", mode]) == 0
         assert decode_wire(back.read_bytes()) == cname_referral_response()
+
+
+def test_dns_mode_none_is_unpacked(tmp_path):
+    wire = tmp_path / "msg.bin"
+    wire.write_bytes(encode_wire(cname_referral_response()))
+    outputs = {}
+    for mode in ("none", "unpacked"):
+        out = tmp_path / ("m.%s.cbor" % mode)
+        back = tmp_path / ("m.%s.bin" % mode)
+        assert run(["dns", "to-cbor", "--in", str(wire), "--out", str(out),
+                    "--role", "r", "--mode", mode]) == 0
+        # Each name decodes the other's output, so from-cbor is compared on the same input.
+        assert run(["dns", "from-cbor", "--in", str(tmp_path / "m.none.cbor"), "--out", str(back),
+                    "--role", "r", "--mode", mode]) == 0
+        outputs[mode] = (out.read_bytes(), back.read_bytes())
+    assert outputs["none"] == outputs["unpacked"]
 
 
 def test_dns_to_cbor_with_request_elision(tmp_path):
@@ -234,9 +250,9 @@ def test_dns_compare_parallel_chunks_keep_row_order(tmp_path, capsys):
     assert len(outputs[0].splitlines()) == 1 + 60
 
 
-def test_dns_compare_skips_a_message_raising_a_cbor_error(tmp_path, capsys, monkeypatch):
-    from cborkit import analysis
-
+def _compare_with_fourth_message_raising(tmp_path, monkeypatch, exc):
+    """CSV rows of an unpatched run, and of a run where compare_modes
+    raises ``exc`` on the fourth message."""
     rng = random.Random(11)
     wires = [encode_wire(random_message(rng)) for _ in range(8)]
     corpus = tmp_path / "corpus.hex"
@@ -247,17 +263,31 @@ def test_dns_compare_skips_a_message_raising_a_cbor_error(tmp_path, capsys, monk
 
     def failing_on_the_fourth(msg, *args):
         if encode_wire(msg) == wires[3]:
-            raise cbor.InvalidUtf8("lone surrogate")
+            raise exc
         return compare_modes(msg, *args)
 
     monkeypatch.setattr(analysis, "compare_modes", failing_on_the_fourth)
     out = tmp_path / "report.csv"
     assert run(["dns", "compare", "--in", str(corpus), "--out", str(out), "--parallel", "1"]) == 0
+    return full.read_text().splitlines(), out.read_text().splitlines()
+
+
+def test_dns_compare_skips_a_message_raising_a_cbor_error(tmp_path, capsys, monkeypatch):
+    rows, out = _compare_with_fourth_message_raising(
+        tmp_path, monkeypatch, cbor.InvalidUtf8("lone surrogate")
+    )
     err = capsys.readouterr().err
     assert err.count("skipped:") == 1
     assert "message 3 skipped: InvalidUtf8: lone surrogate" in err
-    rows = full.read_text().splitlines()
-    assert out.read_text().splitlines() == rows[:4] + rows[5:]
+    assert out == rows[:4] + rows[5:]
+
+
+def test_dns_compare_skips_a_message_raising_any_exception(tmp_path, capsys, monkeypatch):
+    rows, out = _compare_with_fourth_message_raising(tmp_path, monkeypatch, KeyError("ttl"))
+    err = capsys.readouterr().err
+    assert err.count("skipped:") == 1
+    assert "message 3 skipped: KeyError: 'ttl'" in err
+    assert out == rows[:4] + rows[5:]
 
 
 @pytest.mark.parametrize("depth", [200, 600, 1500, 100_000])
