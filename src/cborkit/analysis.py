@@ -22,7 +22,6 @@ from .dnswire import (
     TYPE_AAAA,
     decode_wire,
     encode_wire,
-    unpack_rdata,
 )
 
 
@@ -60,9 +59,10 @@ CSV_COLUMNS = ["role", "question_elided", "classic_size"] + [
 
 
 def common_suffix_bytes(a: Name, b: Name) -> int:
-    """Matching trailing bytes of the lowercase presentation forms."""
-    ta = a.to_text().lower()
-    tb = b.to_text().lower()
+    """Matching trailing bytes of the presentation forms in UTF-8, ASCII
+    letters folded."""
+    ta = a.to_text().encode("utf-8").lower()
+    tb = b.to_text().encode("utf-8").lower()
     n = 0
     while n < len(ta) and n < len(tb) and ta[-1 - n] == tb[-1 - n]:
         n += 1
@@ -118,10 +118,7 @@ def message_names(msg: DnsMessage) -> list[Name]:
     names = [q.name for q in msg.questions]
     for record in (*msg.answers, *msg.authority, *msg.additional):
         names.append(record.name)
-        try:
-            fields = unpack_rdata(record.rtype, record.rdata)
-        except DnsWireError:
-            continue  # opaque rdata contributes no names
+        fields = record.rdata_fields()  # None also for malformed rdata
         if fields is not None:
             names.extend(fields.names)
     return names

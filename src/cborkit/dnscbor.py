@@ -42,7 +42,6 @@ from .dnswire import (
     ResourceRecord,
     TYPE_AAAA,
     pack_rdata,
-    unpack_rdata,
 )
 
 ROLE_QUERY = "query"
@@ -111,30 +110,20 @@ class CodecContext:
         return DEFAULT_QUERY_FLAGS
 
 
-def _fold_case(component: str) -> str:
-    # DNS case-insensitivity covers ASCII letters only; multi-byte UTF-8
-    # sequences never contain bytes in the A-Z range.
-    return component.encode("utf-8").lower().decode("utf-8")
-
-
 @dataclass
 class ComponentIndex:
     """Encoder-side suffix registry for component referencing.
 
     Every literally emitted component consumes the next index; each
     suffix of an emitted name maps to the index of its first component,
-    and the earliest registration wins.
+    and the earliest registration wins.  Names are keyed by ``Name.key()``,
+    so a suffix matches up to ASCII case.
     """
 
     next_index: int = 0
-    suffix_table: dict[tuple[str, ...], int] = field(default_factory=dict)
+    suffix_table: dict[tuple[bytes, ...], int] = field(default_factory=dict)
 
-    @staticmethod
-    def fold(labels: tuple[str, ...]) -> tuple[str, ...]:
-        """The case-folded key of a name, as the other methods take it."""
-        return tuple(_fold_case(c) for c in labels)
-
-    def lookup_longest_suffix(self, key: tuple[str, ...]) -> tuple[int, int | None]:
+    def lookup_longest_suffix(self, key: tuple[bytes, ...]) -> tuple[int, int | None]:
         """Minimal literal count plus the reference index for the rest."""
         for i in range(len(key)):
             index = self.suffix_table.get(key[i:])
@@ -142,7 +131,7 @@ class ComponentIndex:
                 return i, index
         return len(key), None
 
-    def register_name(self, key: tuple[str, ...], literal_count: int) -> None:
+    def register_name(self, key: tuple[bytes, ...], literal_count: int) -> None:
         """Record a name emitted as ``literal_count`` components plus an
         optional reference covering the remainder of ``key``."""
         for i in range(literal_count):
@@ -169,13 +158,6 @@ class EncodedMessage:
         return self.data
 
 
-def _label_components(name: Name) -> tuple[str, ...]:
-    try:
-        return tuple(label.decode("utf-8") for label in name.labels)
-    except UnicodeDecodeError as exc:
-        raise TypeMismatch("name label is not UTF-8 text: %s" % exc) from exc
-
-
 class _Encoder:
     def __init__(self, ctx: CodecContext):
         self.ctx = ctx
@@ -190,8 +172,11 @@ class _Encoder:
         if not name.labels:
             self.index.register_root()
             return [Text("")]
-        components = _label_components(name)
-        key = ComponentIndex.fold(components)
+        try:
+            components = name.components()
+        except UnicodeDecodeError as exc:
+            raise TypeMismatch("name label is not UTF-8 text: %s" % exc) from exc
+        key = name.key()
         literal_count, ref = self.index.lookup_longest_suffix(key)
         items: list[CborItem] = [Text(c) for c in components[:literal_count]]
         if ref is not None:
@@ -229,10 +214,7 @@ class _Encoder:
 
     def rdata_items(self, record: ResourceRecord) -> list[CborItem]:
         if self.ctx.structured_rdata:
-            try:
-                fields = unpack_rdata(record.rtype, record.rdata)
-            except DnsWireError:
-                fields = None  # malformed structured rdata travels opaquely
+            fields = record.rdata_fields()  # None also for malformed rdata
             if fields is not None:
                 if not fields.prefix and not fields.tail:
                     # a lone name (NS/CNAME/PTR) is spliced into the record

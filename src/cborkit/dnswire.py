@@ -10,7 +10,11 @@ message compares equal regardless of how it was compressed on the wire.
 
 ``RDATA_LAYOUTS`` is the one place the byte layout of name-bearing rdata
 lives: the wire codec, the CBOR codec and the analysis all split and
-build that rdata through ``unpack_rdata`` and ``pack_rdata``.
+build that rdata through ``unpack_rdata``, ``pack_rdata`` and
+``ResourceRecord.rdata_fields``.  ``decode_wire`` keeps on each record the
+split it makes while expanding pointers, and within one message it makes
+names with the same label bytes (case kept) one ``Name``, which works out
+its key, presentation form and UTF-8 components once.
 """
 
 from __future__ import annotations
@@ -89,11 +93,17 @@ _HEADER_LEN = 12
 _ESCAPED = frozenset(b'."\\;()@$')
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name:
-    """A DNS name as an ordered tuple of labels (empty tuple = root)."""
+    """A DNS name as an ordered tuple of labels (empty tuple = root).
+
+    Equality, hash and repr read ``labels`` only; ``key()``, ``to_text()``
+    and ``components()`` work out their result once."""
 
     labels: tuple[bytes, ...] = ()
+    _key: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+    _components: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for label in self.labels:
@@ -103,6 +113,11 @@ class Name:
                 raise LabelOverflow("label longer than 63 bytes")
         if self.wire_length() > 255:
             raise NameOverflow("name longer than 255 wire bytes")
+        labels = self.labels
+        joined = b"".join(labels)
+        # A name already in lower case is its own key and costs no memory.
+        key = labels if joined.lower() == joined else tuple([label.lower() for label in labels])
+        object.__setattr__(self, "_key", key)
 
     @classmethod
     def from_text(cls, text: str) -> "Name":
@@ -141,14 +156,23 @@ class Name:
 
     def to_text(self) -> str:
         """Presentation form without a trailing dot; root renders as ''."""
-        return ".".join(_label_text(label) for label in self.labels)
+        if self._text is None:
+            object.__setattr__(self, "_text", ".".join(map(_label_text, self.labels)))
+        return self._text
+
+    def components(self) -> tuple[str, ...]:
+        """The labels as UTF-8 text; ``UnicodeDecodeError`` if one is not."""
+        if self._components is None:
+            components = tuple([label.decode("utf-8") for label in self.labels])
+            object.__setattr__(self, "_components", components)
+        return self._components
 
     def key(self) -> tuple[bytes, ...]:
-        """Case-insensitive comparison key."""
-        return tuple(label.lower() for label in self.labels)
+        """Case-insensitive comparison key: ASCII letters folded (RFC 4343)."""
+        return self._key
 
     def wire_length(self) -> int:
-        return sum(len(label) + 1 for label in self.labels) + 1
+        return sum(map(len, self.labels)) + len(self.labels) + 1
 
     def to_wire(self) -> bytes:
         out = bytearray()
@@ -159,19 +183,32 @@ class Name:
         return bytes(out)
 
     def equals(self, other: "Name") -> bool:
-        return self.key() == other.key()
+        return self._key == other._key
+
+
+# Presentation form of each byte on its own: ``_ESCAPED`` characters behind
+# a backslash, other printable ASCII as is, everything else as ``\DDD``.
+_BYTE_TEXT = tuple(
+    "\\" + chr(b) if b in _ESCAPED else chr(b) if 0x20 < b < 0x7F else "\\%03d" % b
+    for b in range(256)
+)
+# The bytes that stand for themselves.
+_PLAIN = bytes(b for b in range(256) if _BYTE_TEXT[b] == chr(b))
 
 
 def _label_text(label: bytes) -> str:
-    chars = []
-    for b in label:
-        if b in _ESCAPED:
-            chars.append("\\" + chr(b))
-        elif 0x20 < b < 0x7F:
-            chars.append(chr(b))
-        else:
-            chars.append("\\%03d" % b)
-    return "".join(chars)
+    if not label.translate(None, _PLAIN):
+        return label.decode("ascii")
+    try:
+        text = label.decode("utf-8")
+    except UnicodeDecodeError:
+        return "".join([_BYTE_TEXT[b] for b in label])
+    # A UTF-8 label keeps its printable non-ASCII characters.
+    return "".join([
+        ch if ch > "\x7f" and ch.isprintable()
+        else "".join([_BYTE_TEXT[b] for b in ch.encode("utf-8")])
+        for ch in text
+    ])
 
 
 @dataclass
@@ -195,10 +232,23 @@ class ResourceRecord:
     rclass: int
     ttl: int
     rdata: bytes  # pointer-expanded, uncompressed form
+    # decode_wire's (rdata, split), used while rdata is that object.
+    _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.rdata) > 0xFFFF:
             raise SectionOverflow("rdata longer than 65535 bytes")
+
+    def rdata_fields(self) -> RdataFields | None:
+        """The rdata split by its ``RDATA_LAYOUTS`` entry; None for a type
+        without names or rdata that does not fit its layout."""
+        split = self._split
+        if split is not None and split[0] is self.rdata:
+            return split[1]
+        try:
+            return unpack_rdata(self.rtype, self.rdata)
+        except DnsWireError:
+            return None
 
 
 @dataclass
@@ -215,12 +265,13 @@ class DnsMessage:
         return bool(self.flags & FLAG_QR)
 
 
-def _read_name(data: bytes, offset: int, min_target: int = 0) -> tuple[Name, int]:
+def _read_name(data: bytes, offset: int, min_target: int, names: dict) -> tuple[Name, int]:
     """Decode a possibly compressed name starting at ``offset``.
 
-    Returns the name and the offset just past its in-place encoding.
-    Every pointer must target a strictly smaller offset than the last
-    jump (or than the pointer itself for the first jump).
+    Returns the name and the offset just past its in-place encoding; a
+    name whose labels are already in ``names`` is that object.  Every
+    pointer must target a strictly smaller offset than the last jump (or
+    than the pointer itself for the first jump).
     """
     labels: list[bytes] = []
     total = 1
@@ -262,7 +313,11 @@ def _read_name(data: bytes, offset: int, min_target: int = 0) -> tuple[Name, int
         labels.append(bytes(data[pos + 1 : pos + 1 + length]))
         pos += 1 + length
     end = resume if resume >= 0 else pos
-    return Name(tuple(labels)), end
+    key = tuple(labels)
+    name = names.get(key)
+    if name is None:
+        name = names[key] = Name(key)
+    return name, end
 
 
 class RdataFields(NamedTuple):
@@ -274,7 +329,7 @@ class RdataFields(NamedTuple):
 
 
 def _split_rdata(
-    data: bytes, start: int, end: int, layout: tuple[str, int, str], min_target: int
+    data: bytes, start: int, end: int, layout: tuple[str, int, str], min_target: int, names: dict
 ) -> RdataFields:
     """Split the rdata at ``data[start:end]``; its names may point back
     into ``data`` but no lower than ``min_target``."""
@@ -284,15 +339,15 @@ def _split_rdata(
     if end - start < head_len + count + tail_len:
         raise Truncated("rdata shorter than its fixed fields and names")
     pos = start + head_len
-    names = []
+    found = []
     for _ in range(count):
-        name, pos = _read_name(data, pos, min_target)
-        names.append(name)
+        name, pos = _read_name(data, pos, min_target, names)
+        found.append(name)
     if pos + tail_len != end:
         raise Truncated("rdata does not end after its names and fixed fields")
     return RdataFields(
         struct.unpack_from(">" + head, data, start),
-        tuple(names),
+        tuple(found),
         struct.unpack_from(">" + tail, data, pos),
     )
 
@@ -302,7 +357,7 @@ def unpack_rdata(rtype: int, rdata: bytes) -> RdataFields | None:
     layout = RDATA_LAYOUTS.get(rtype)
     if layout is None:
         return None
-    return _split_rdata(rdata, 0, len(rdata), layout, 0)
+    return _split_rdata(rdata, 0, len(rdata), layout, 0, {})
 
 
 def pack_rdata(rtype: int, fields: RdataFields) -> bytes:
@@ -315,22 +370,15 @@ def pack_rdata(rtype: int, fields: RdataFields) -> bytes:
         raise FieldOverflow("rdata field: %s" % exc) from exc
 
 
-def _reencode_rdata(data: bytes, rd_start: int, rd_end: int, rtype: int) -> bytes:
-    """Expand pointers inside name-bearing rdata; other types pass through."""
-    layout = RDATA_LAYOUTS.get(rtype)
-    if layout is None:
-        return data[rd_start:rd_end]
-    return pack_rdata(rtype, _split_rdata(data, rd_start, rd_end, layout, _HEADER_LEN))
-
-
 def decode_wire(data: bytes) -> DnsMessage:
     if len(data) < 12:
         raise Truncated("message shorter than the 12-byte header")
     msg_id, flags, qd, an, ns, ar = struct.unpack(">HHHHHH", data[:12])
     pos = _HEADER_LEN
+    names: dict[tuple[bytes, ...], Name] = {}  # one object per spelling
     questions = []
     for _ in range(qd):
-        name, pos = _read_name(data, pos, _HEADER_LEN)
+        name, pos = _read_name(data, pos, _HEADER_LEN, names)
         if pos + 4 > len(data):
             raise Truncated("question shorter than type+class")
         rtype, rclass = struct.unpack(">HH", data[pos : pos + 4])
@@ -340,16 +388,23 @@ def decode_wire(data: bytes) -> DnsMessage:
     for count in (an, ns, ar):
         records = []
         for _ in range(count):
-            name, pos = _read_name(data, pos, _HEADER_LEN)
+            name, pos = _read_name(data, pos, _HEADER_LEN, names)
             if pos + 10 > len(data):
                 raise Truncated("record header incomplete")
             rtype, rclass, ttl, rdlen = struct.unpack(">HHIH", data[pos : pos + 10])
             pos += 10
             if pos + rdlen > len(data):
                 raise Truncated("rdata runs past message end")
-            rdata = _reencode_rdata(data, pos, pos + rdlen, rtype)
+            layout = RDATA_LAYOUTS.get(rtype)
+            if layout is None:
+                record = ResourceRecord(name, rtype, rclass, ttl, data[pos : pos + rdlen])
+            else:
+                # Pointers inside name-bearing rdata are expanded.
+                split = _split_rdata(data, pos, pos + rdlen, layout, _HEADER_LEN, names)
+                record = ResourceRecord(name, rtype, rclass, ttl, pack_rdata(rtype, split))
+                record._split = (record.rdata, split)
             pos += rdlen
-            records.append(ResourceRecord(name, rtype, rclass, ttl, rdata))
+            records.append(record)
         sections.append(records)
     return DnsMessage(msg_id, flags, questions, *sections)
 
@@ -387,14 +442,9 @@ def _emit_rdata(out: bytearray, record: ResourceRecord, comp: _Compressor) -> No
     rdlen_at = len(out)
     out += b"\x00\x00"
     start = len(out)
-    fields = None
-    if comp.enabled:
-        try:
-            fields = unpack_rdata(record.rtype, record.rdata)
-        except DnsWireError:
-            pass  # rdata that does not fit its layout is written verbatim
+    fields = record.rdata_fields() if comp.enabled else None
     if fields is None:
-        out += record.rdata
+        out += record.rdata  # also rdata that does not fit its layout
     else:
         head, _, tail = RDATA_LAYOUTS[record.rtype]
         out += struct.pack(">" + head, *fields.prefix)

@@ -95,6 +95,14 @@ def test_component_referencing_golden_bytes_and_decode():
     assert decode_message(golden, ctx) == cname_referral_response()
 
 
+def test_utf8_label_is_as_short_in_plain_mode_as_in_component_mode():
+    msg = DnsMessage(0, 0x0100, [Question(Name((b"\xc3\xa9", b"com")), TYPE_A, CLASS_IN)])
+    for mode in (None, ComponentRef.one_plus_zero()):
+        encoded = encode_message(msg, CodecContext(role=ROLE_QUERY, mode=mode))
+        assert len(encoded.data) == 10
+        assert decode_message(encoded.data, CodecContext(role=ROLE_QUERY, mode=mode)) == msg
+
+
 def test_component_referencing_decode_fields():
     ctx = CodecContext(role=ROLE_RESPONSE, mode=ComponentRef.one_plus_zero())
     msg = decode_message(
@@ -268,7 +276,8 @@ def test_component_index_registration():
     # partial match against the table (brute-force cross-check below)
     assert index.lookup_longest_suffix(("a", "example", "org")) == (1, 1)
     # keys are case-folded by the caller, ASCII letters only
-    assert ComponentIndex.fold(("A", "EXAMPLE", "Org", "É")) == ("a", "example", "org", "É")
+    assert Name((b"A", b"EXAMPLE", b"Org", "É".encode())).key() == (
+        b"a", b"example", b"org", "É".encode())
     index.register_name(("mail", "example", "org"), 1)
     assert index.suffix_table[("mail", "example", "org")] == 3
     assert index.next_index == 4

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_message
+from cborkit.analysis import message_names
+from cborkit.cbor import Bytes
+from cborkit.dnscbor import CodecContext, ROLE_RESPONSE, message_to_item
 from cborkit.dnswire import (
     BadPointerTarget,
     CLASS_IN,
@@ -275,6 +278,60 @@ def test_name_from_text_non_ascii_is_utf8():
         Name.from_text("☃" * 22)  # 66 bytes
 
 
+def test_label_text_fast_path_matches_the_per_byte_rule():
+    for b in range(256):
+        if b in b'."\\;()@$':
+            want = "\\" + chr(b)
+        elif 0x20 < b < 0x7F:
+            want = chr(b)
+        else:
+            want = "\\%03d" % b
+        assert Name((bytes([b]),)).to_text() == want
+
+
+def test_utf8_labels_keep_printable_characters():
+    assert Name((b"\xc3\xa9", b"com")).to_text() == "é.com"
+    # a non-printable code point, and a label that is not UTF-8
+    assert Name(("a\u200b".encode(), b"\xc3")).to_text() == "a\\226\\128\\139.\\195"
+    assert Name(("é\n.".encode(),)).to_text() == "é\\010\\."
+    for name in (Name((b"\xc3\xa9", b"com")), Name(("a\u200b".encode(), b"\xc3\xa9\xc3"))):
+        assert Name.from_text(name.to_text()) == name
+
+
+def test_decoded_names_keep_their_spelling_and_share_one_object():
+    owner = Name.from_text("example.org")
+    target = Name.from_text("MAIL.example.org")
+    msg = DnsMessage(7, 0x8180, [Question(Name.from_text("Example.ORG"), TYPE_A, CLASS_IN)],
+                     answers=[
+                         ResourceRecord(owner, TYPE_CNAME, CLASS_IN, 60, name_rdata("MAIL.example.org")),
+                         ResourceRecord(target, TYPE_A, CLASS_IN, 60, a_rdata("192.0.2.1")),
+                         ResourceRecord(owner, TYPE_MX, CLASS_IN, 60, mx_rdata(10, "MAIL.example.org")),
+                     ])
+    got = decode_wire(encode_wire(msg, compress=False))
+    assert got == msg
+    assert [got.questions[0].name.labels, got.answers[0].name.labels] == [
+        (b"Example", b"ORG"), (b"example", b"org")]
+    cname, a, mx = got.answers
+    assert got.questions[0].name is not cname.name
+    assert cname.name is mx.name
+    assert cname.rdata_fields().names[0] is a.name is mx.rdata_fields().names[0]
+
+
+def test_decoded_split_equals_unpack_rdata():
+    rng = random.Random(11)
+    for _ in range(150):
+        msg = decode_wire(encode_wire(random_message(rng)))
+        for record in (*msg.answers, *msg.authority, *msg.additional):
+            assert record.rdata_fields() == unpack_rdata(record.rtype, record.rdata)
+    # new rdata on a decoded record is split again
+    record = decode_wire(encode_wire(DnsMessage(answers=[
+        ResourceRecord(Name(()), TYPE_CNAME, CLASS_IN, 1, name_rdata("a.example"))]))).answers[0]
+    record.rdata = name_rdata("b.example")
+    assert record.rdata_fields().names == (Name.from_text("b.example"),)
+    record.rdata = b"\x05"
+    assert record.rdata_fields() is None
+
+
 def test_case_insensitive_compare():
     a = Name.from_text("WWW.Example.ORG")
     b = Name.from_text("www.example.org")
@@ -314,6 +371,10 @@ def test_compression_writes_rdata_off_its_layout_verbatim(rtype, rdata):
     tail = struct.pack(">H", len(rdata)) + rdata
     assert encode_wire(msg, compress=True).endswith(tail)
     assert encode_wire(msg, compress=False).endswith(tail)
+    # the CBOR codec carries it as a byte string, and it holds no names
+    record = message_to_item(msg, CodecContext(role=ROLE_RESPONSE)).item.items[-1].items[0]
+    assert record.items[-1] == Bytes(rdata)
+    assert message_names(msg) == [Name.from_text("example"), Name.from_text("m.example")]
 
 
 _labels = st.binary(min_size=1, max_size=20)
