@@ -1,6 +1,6 @@
 """CBOR data model and codec.
 
-Items are modeled as a small closed set of dataclasses (one per major
+Items are modeled as a small closed set of slotted dataclasses (one per major
 type, with booleans/null/undefined split out of the simple-value space
 for a cleaner JSON mapping).  The encoder always emits definite lengths
 and shortest-form integer heads; the decoder additionally accepts
@@ -13,6 +13,10 @@ heads and text encodings from ``head``, ``utf8`` and ``text_encoding``
 rather than restating them.  ``head_size`` keeps its own comparisons
 because the packer's arithmetic calls it too often to build a head each
 time; the tests hold it to ``len(head(...))``.
+
+The decoder is one pass: ``_decode_item`` reads each head straight from
+the input, checks every length against its end once, and returns the item
+with the offset after it.
 """
 
 from __future__ import annotations
@@ -60,14 +64,14 @@ class InvalidUtf8(CborError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Uint:
     """Unsigned integer, 0 .. 2**64 - 1."""
 
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nint:
     """Negative integer; ``n`` is the encoded argument, the value is -1 - n."""
 
@@ -78,57 +82,57 @@ class Nint:
         return -1 - self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bytes:
     data: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Text:
     data: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Array:
     items: list["CborItem"] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Map:
     """Key/value pairs in insertion order; duplicate keys are representable."""
 
     entries: list[tuple["CborItem", "CborItem"]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tag:
     number: int
     content: "CborItem"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Simple:
     """Simple value 0..19 or 32..255 (20..31 are literals or reserved heads)."""
 
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bool:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Null:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Undefined:
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Float:
     """IEEE 754 number with the width it was decoded at (or should prefer).
 
@@ -337,26 +341,9 @@ def _encode_into(out: bytearray, item: CborItem, opts: EncodeOptions, depth: int
         raise CborError("not a CBOR item: %r" % (item,))
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise Truncated(
-                "need %d bytes at offset %d, have %d"
-                % (n, self.pos, len(self.data) - self.pos)
-            )
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-
 _BREAK = object()
 _ARG_BYTES = {24: 1, 25: 2, 26: 4, 27: 8}
+_FLOAT_FORMATS = {2: ">e", 4: ">f", 8: ">d"}
 
 
 def decode(
@@ -366,91 +353,96 @@ def decode(
     parse CBOR sequences.  Never reads past the input."""
     if not data:
         raise Truncated("empty input")
-    reader = _Reader(bytes(data))
-    item = _decode_item(reader, opts, opts.max_depth, allow_break=False)
-    return item, reader.pos
+    return _decode_item(bytes(data), 0, opts, opts.max_depth, False)
 
 
-def _read_head(reader: _Reader) -> tuple[int, int, int | None]:
-    initial = reader.take(1)[0]
-    major = initial >> 5
-    indicator = initial & 0x1F
-    if indicator < 24:
-        return major, indicator, indicator
-    if indicator in _ARG_BYTES:
-        return major, indicator, int.from_bytes(reader.take(_ARG_BYTES[indicator]), "big")
-    if indicator == 31:
-        return major, indicator, None
-    raise ReservedIndicator("indicator %d (major %d) is reserved" % (indicator, major))
+def _truncated(need: int, pos: int, end: int) -> Truncated:
+    return Truncated("need %d bytes at offset %d, have %d" % (need, pos, end - pos))
 
 
-def _decode_item(reader: _Reader, opts: DecodeOptions, depth: int, allow_break: bool):
+def _decode_item(data: bytes, pos: int, opts: DecodeOptions, depth: int, allow_break: bool):
+    """The item whose head is at ``data[pos]``, and the offset after it."""
     if depth < 0:
         raise DepthExceeded("nesting deeper than %d" % opts.max_depth)
-    major, indicator, arg = _read_head(reader)
-    if indicator == 31:
-        if major == 7:
-            if allow_break:
-                return _BREAK
-            raise MalformedIndefinite("stray break")
-        if major < 2:
-            raise ReservedIndicator("indefinite length invalid for major %d" % major)
-        if not opts.accept_indefinite:
-            raise MalformedIndefinite("indefinite length not accepted")
-        return _decode_indefinite(reader, major, opts, depth)
-    assert arg is not None
-    if major == 0:
-        return Uint(arg)
-    if major == 1:
-        return Nint(arg)
-    if major == 2:
-        return Bytes(reader.take(arg))
-    if major == 3:
-        raw = reader.take(arg)
+    end = len(data)
+    if pos >= end:
+        raise _truncated(1, pos, end)
+    major = data[pos] >> 5
+    indicator = arg = data[pos] & 0x1F
+    pos += 1
+    if indicator >= 24:
+        size = _ARG_BYTES.get(indicator)
+        if size is None:
+            if indicator != 31:
+                raise ReservedIndicator("indicator %d (major %d) is reserved" % (indicator, major))
+            if major == 7:
+                if allow_break:
+                    return _BREAK, pos
+                raise MalformedIndefinite("stray break")
+            if major < 2 or major == 6:
+                raise ReservedIndicator("indefinite length invalid for major %d" % major)
+            if not opts.accept_indefinite:
+                raise MalformedIndefinite("indefinite length not accepted")
+            return _decode_indefinite(data, pos, major, opts, depth)
+        if pos + size > end:
+            raise _truncated(size, pos, end)
+        arg = int.from_bytes(data[pos : pos + size], "big")
+        pos += size
+    # One branch per major type, the most frequent first.
+    if major == 3 or major == 2:
+        stop = pos + arg
+        if stop > end:
+            raise _truncated(arg, pos, end)
+        if major == 2:
+            return Bytes(data[pos:stop]), stop
         try:
-            return Text(raw.decode("utf-8"))
+            return Text(data[pos:stop].decode("utf-8")), stop
         except UnicodeDecodeError as exc:
             raise InvalidUtf8(str(exc)) from exc
+    if major == 0:
+        return Uint(arg), pos
     if major == 4:
-        return Array([_decode_item(reader, opts, depth - 1, False) for _ in range(arg)])
+        items = []
+        for _ in range(arg):
+            child, pos = _decode_item(data, pos, opts, depth - 1, False)
+            items.append(child)
+        return Array(items), pos
+    if major == 6:
+        content, pos = _decode_item(data, pos, opts, depth - 1, False)
+        return Tag(arg, content), pos
     if major == 5:
         entries = []
         for _ in range(arg):
-            key = _decode_item(reader, opts, depth - 1, False)
-            value = _decode_item(reader, opts, depth - 1, False)
+            key, pos = _decode_item(data, pos, opts, depth - 1, False)
+            value, pos = _decode_item(data, pos, opts, depth - 1, False)
             entries.append((key, value))
-        return Map(entries)
-    if major == 6:
-        return Tag(arg, _decode_item(reader, opts, depth - 1, False))
+        return Map(entries), pos
+    if major == 1:
+        return Nint(arg), pos
     # major 7
     if indicator <= 19:
-        return Simple(indicator)
-    if indicator == 20:
-        return Bool(False)
-    if indicator == 21:
-        return Bool(True)
+        return Simple(indicator), pos
+    if indicator == 20 or indicator == 21:
+        return Bool(indicator == 21), pos
     if indicator == 22:
-        return Null()
+        return Null(), pos
     if indicator == 23:
-        return Undefined()
+        return Undefined(), pos
     if indicator == 24:
         if arg < 32:
             raise InvalidSimple("two-byte simple value %d below 32" % arg)
-        return Simple(arg)
-    if indicator == 25:
-        return Float(struct.unpack(">e", struct.pack(">H", arg))[0], 16)
-    if indicator == 26:
-        return Float(struct.unpack(">f", struct.pack(">I", arg))[0], 32)
-    return Float(struct.unpack(">d", struct.pack(">Q", arg))[0], 64)
+        return Simple(arg), pos
+    value = struct.unpack(_FLOAT_FORMATS[size], data[pos - size : pos])[0]
+    return Float(value, 8 * size), pos
 
 
-def _decode_indefinite(reader: _Reader, major: int, opts: DecodeOptions, depth: int):
+def _decode_indefinite(data: bytes, pos: int, major: int, opts: DecodeOptions, depth: int):
     if major in (2, 3):
         chunks = []
         while True:
-            head = reader.data[reader.pos : reader.pos + 1]
+            head = data[pos : pos + 1]
             if head == b"\xff":
-                reader.pos += 1
+                pos += 1
                 break
             if not head:
                 raise Truncated("unterminated indefinite string")
@@ -460,25 +452,25 @@ def _decode_indefinite(reader: _Reader, major: int, opts: DecodeOptions, depth: 
                 raise MalformedIndefinite(
                     "indefinite string chunk of wrong type (major %d)" % chunk_major
                 )
-            chunk = _decode_item(reader, opts, depth - 1, False)
+            chunk, pos = _decode_item(data, pos, opts, depth - 1, False)
             chunks.append(chunk.data)  # type: ignore[union-attr]
         if major == 2:
-            return Bytes(b"".join(chunks))
-        return Text("".join(chunks))
+            return Bytes(b"".join(chunks)), pos
+        return Text("".join(chunks)), pos
     if major == 4:
         items = []
         while True:
-            child = _decode_item(reader, opts, depth - 1, True)
+            child, pos = _decode_item(data, pos, opts, depth - 1, True)
             if child is _BREAK:
-                return Array(items)
+                return Array(items), pos
             items.append(child)
     # major == 5
     entries = []
     while True:
-        key = _decode_item(reader, opts, depth - 1, True)
+        key, pos = _decode_item(data, pos, opts, depth - 1, True)
         if key is _BREAK:
-            return Map(entries)
-        value = _decode_item(reader, opts, depth - 1, True)
+            return Map(entries), pos
+        value, pos = _decode_item(data, pos, opts, depth - 1, True)
         if value is _BREAK:
             raise MalformedIndefinite("break splits a map pair")
         entries.append((key, value))

@@ -416,42 +416,40 @@ def unpack(env: PackedEnvelope) -> CborItem:
     return _resolve(env.rump, resolved, in_table=False)
 
 
-def _resolve(item: CborItem, table: list[CborItem], in_table: bool) -> CborItem:
-    def lookup(index: int) -> CborItem:
-        if index >= len(table):
-            if in_table:
-                raise ForwardReference(
-                    "table entry references index %d at or past itself" % index
-                )
-            raise IndexOutOfRange(
-                "reference %d but table holds %d entries" % (index, len(table))
-            )
-        return table[index]
+def _lookup(table: list[CborItem], index: int, in_table: bool) -> CborItem:
+    if index >= len(table):
+        if in_table:
+            raise ForwardReference("table entry references index %d at or past itself" % index)
+        raise IndexOutOfRange("reference %d but table holds %d entries" % (index, len(table)))
+    return table[index]
 
-    if isinstance(item, Simple) and item.value < SIMPLE_REF_LIMIT:
-        return lookup(item.value)
-    if isinstance(item, Tag):
+
+def _resolve(item: CborItem, table: list[CborItem], in_table: bool) -> CborItem:
+    kind = type(item)
+    if kind is Array:
+        return Array([_resolve(c, table, in_table) for c in item.items])
+    if kind is Simple and item.value < SIMPLE_REF_LIMIT:
+        return _lookup(table, item.value, in_table)
+    if kind is Tag:
         if item.number == VALUE_TAG:
             content = item.content
             if not isinstance(content, Uint):
                 raise TypeMismatch("value reference must carry an unsigned index")
-            return lookup(content.value + SIMPLE_REF_LIMIT)
+            return _lookup(table, content.value + SIMPLE_REF_LIMIT, in_table)
         if item.number == SUFFIX_TAG:
             head, index = _ref_pair(item.content, first_text=True)
-            target = lookup(index)
+            target = _lookup(table, index, in_table)
             if not isinstance(target, Text):
                 raise TypeMismatch("suffix reference to a non-text entry")
             return Text(head + target.data)
         if item.number == PREFIX_TAG:
             tail, index = _ref_pair(item.content, first_text=False)
-            target = lookup(index)
+            target = _lookup(table, index, in_table)
             if not isinstance(target, Bytes):
                 raise TypeMismatch("prefix reference to a non-bytes entry")
             return Bytes(target.data + tail)
         return Tag(item.number, _resolve(item.content, table, in_table))
-    if isinstance(item, Array):
-        return Array([_resolve(c, table, in_table) for c in item.items])
-    if isinstance(item, Map):
+    if kind is Map:
         return Map(
             [
                 (_resolve(k, table, in_table), _resolve(v, table, in_table))

@@ -124,8 +124,11 @@ class Name:
         """Parse presentation form ('' or '.' both mean root)."""
         if text in ("", "."):
             return cls(())
-        if text.endswith(".") and not text.endswith("\\."):
+        # A final dot is the root unless an odd run of backslashes escapes it.
+        if text[-1] == "." and (len(text) - len(text[:-1].rstrip("\\"))) % 2:
             text = text[:-1]
+        if "\\" not in text:
+            return cls(tuple([label.encode("utf-8") for label in text.split(".")]))
         labels: list[bytes] = []
         current = bytearray()
         i = 0

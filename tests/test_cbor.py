@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 import struct
 
@@ -6,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_item
+from conftest import random_item, random_message
+from cborkit.analysis import MODES, encode_in_mode
+from cborkit.dnscbor import CodecContext, ROLE_QUERY, ROLE_RESPONSE
 from cborkit.cbor import (
     Array,
     Bool,
     Bytes,
     CborError,
+    CborItem,
     DecodeOptions,
     DepthExceeded,
     EncodeOptions,
@@ -131,6 +136,7 @@ def test_float_decode_widths():
         (bytes.fromhex("1d"), ReservedIndicator),
         (bytes.fromhex("1e"), ReservedIndicator),
         (bytes.fromhex("3f"), ReservedIndicator),  # indefinite nint
+        (bytes.fromhex("dfff"), ReservedIndicator),  # indefinite tag
         (bytes.fromhex("ff"), MalformedIndefinite),  # stray break
         (bytes.fromhex("5f610100ff"), MalformedIndefinite),  # text chunk in bytes
         (bytes.fromhex("5f5f4101ffff"), MalformedIndefinite),  # nested indefinite
@@ -155,6 +161,49 @@ def test_reserved_indicators_all_majors():
         for indicator in (28, 29, 30):
             with pytest.raises(ReservedIndicator):
                 decode(bytes([(major << 5) | indicator, 0]))
+
+
+# RFC 8949 Appendix A: every encoding, definite and indefinite lengths.
+APPENDIX_A_HEX = """
+00 01 0a 17 1818 1819 1864 1903e8 1a000f4240 1b000000e8d4a51000 1bffffffffffffffff
+c249010000000000000000 3bffffffffffffffff c349010000000000000000 20 29 3863 3903e7
+f90000 f98000 f93c00 fb3ff199999999999a f93e00 f97bff fa47c35000 fa7f7fffff
+fb7e37e43c8800759c f90001 f90400 f9c400 fbc010666666666666 f97c00 f97e00 f9fc00
+fa7f800000 fa7fc00000 faff800000 fb7ff0000000000000 fb7ff8000000000000
+fbfff0000000000000 f4 f5 f6 f7 f0 f8ff c074323031332d30332d32315432303a30343a30305a
+c11a514b67b0 c1fb41d452d9ec200000 d74401020304 d818456449455446
+d82076687474703a2f2f7777772e6578616d706c652e636f6d 40 4401020304 60 6161 6449455446
+62225c 62c3bc 63e6b0b4 64f0908591 80 83010203 8301820203820405
+98190102030405060708090a0b0c0d0e0f101112131415161718181819 a0 a201020304
+a26161016162820203 826161a161626163 a56161614161626142616361436164614461656145
+5f42010243030405ff 7f657374726561646d696e67ff 9fff 9f018202039f0405ffff
+9f01820203820405ff 83018202039f0405ff 83019f0203ff820405 bf61610161629f0203ffff
+826161bf61626163ff bf6346756ef563416d7421ff
+""".split()
+
+
+def _dns_encodings(seed: int = 5, messages: int = 6) -> list[bytes]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(messages):
+        msg = random_message(rng)
+        ctx = CodecContext(ROLE_RESPONSE if msg.is_response else ROLE_QUERY)
+        out += [encode_in_mode(msg, ctx, mode).data for mode in MODES]
+    return out
+
+
+@pytest.mark.parametrize(
+    "data",
+    [bytes.fromhex(h) for h in APPENDIX_A_HEX] + _dns_encodings(),
+    ids=lambda data: data.hex()[:24],
+)
+def test_every_proper_prefix_is_truncated(data):
+    item, used = decode(data)
+    assert used == len(data)
+    for n in range(len(data)):
+        with pytest.raises(Truncated):
+            decode(data[:n])
+    assert decode(data + b"\x00\xff") == (item, used)
 
 
 def test_indefinite_rejected_when_disabled():
@@ -297,3 +346,30 @@ def test_diagnostics():
     assert to_diagnostic(Simple(19)) == "simple(19)"
     assert to_diagnostic(Undefined()) == "undefined"
 
+
+
+ITEM_SAMPLES = [
+    Uint(7), Nint(3), Bytes(b"\x00"), Text("a"), Array([Uint(1)]), Map([(Text("k"), Null())]),
+    Tag(1, Uint(2)), Simple(16), Bool(True), Null(), Undefined(), Float(1.5, 16),
+]
+
+
+def test_items_keep_their_semantics_with_slots():
+    assert Float(0.0) != Float(-0.0)
+    nan = Float(float("nan"))
+    assert nan == Float(float("nan")) and hash(nan) == hash(Float(float("nan")))
+    assert Float(1.0, 16) != Float(1.0, 32)
+    assert {Float(0.0), Float(-0.0), Float(0.0)} == {Float(0.0), Float(-0.0)}
+    assert hash(Text("a")) == hash(Text("a")) and Tag(1, Uint(2)) == Tag(1, Uint(2))
+    assert {type(item) for item in ITEM_SAMPLES} == set(CborItem.__args__)
+    for item in ITEM_SAMPLES:
+        assert not hasattr(item, "__dict__")
+        assert pickle.loads(pickle.dumps(item)) == item
+        if type(item) not in (Array, Map):
+            for f in dataclasses.fields(item):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(item, f.name, getattr(item, f.name))
+        # No attribute outside the fields: AttributeError from the slots, or
+        # on Python 3.11 a TypeError from the frozen __setattr__.
+        with pytest.raises((AttributeError, TypeError)):
+            item.extra = 1

@@ -268,6 +268,32 @@ def test_name_text_escaping():
     assert Name.from_text(text) == name
     assert Name.from_text("www.example.cz.").to_text() == "www.example.cz"
     assert Name.from_text(".") == Name(())
+    # The final dot is the root after an escaped backslash, not after an escaped dot.
+    name = Name((b"a\\",))
+    assert name.to_text() == "a\\\\"
+    assert Name.from_text(name.to_text() + ".") == name
+    assert Name.from_text("a\\.").labels == (b"a.",)
+
+
+# Labels built to reach both parsing paths of ``Name.from_text``: the
+# escape walk (``.``, ``\``, space, 0x7F, bytes that are not UTF-8) and the
+# split on dots (plain ASCII and printable UTF-8).
+_LABELS = st.one_of(
+    st.binary(min_size=1, max_size=63),
+    st.lists(st.sampled_from(b".\\ \x7f\xc3\xa9\xffaZ0-"), min_size=1, max_size=63).map(bytes),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=15)
+    .map(lambda t: t.encode("utf-8")),
+    st.text("abcXYZ019-_*", min_size=1, max_size=63).map(str.encode),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_LABELS, min_size=1, max_size=3))
+def test_name_text_round_trip(labels):
+    name = Name(tuple(labels))
+    text = name.to_text()
+    assert Name.from_text(text) == name
+    assert Name.from_text(text + ".") == name
 
 
 def test_name_from_text_non_ascii_is_utf8():
