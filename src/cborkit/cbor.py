@@ -478,9 +478,7 @@ def _decode_indefinite(data: bytes, pos: int, major: int, opts: DecodeOptions, d
 
 def to_diagnostic(item: CborItem) -> str:
     """Deterministic diagnostic-notation rendering."""
-    if isinstance(item, Uint):
-        return str(item.value)
-    if isinstance(item, Nint):
+    if isinstance(item, (Uint, Nint)):
         return str(item.value)
     if isinstance(item, Bytes):
         return "h'%s'" % item.data.hex()

@@ -64,8 +64,10 @@ def _write_output(data: bytes, out: str | None, as_hex: bool) -> None:
 
 
 def _write_text(text: str, out: str | None) -> None:
+    # A lone surrogate (valid JSON escape) raises InvalidUtf8 before any output.
+    data = cbor.utf8(text)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_bytes(data)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -78,6 +80,17 @@ def _load_cbor_input(path: str, as_hex: bool) -> bytes:
         except (UnicodeDecodeError, ValueError) as exc:
             raise CliError("bad hex input: %s" % exc) from exc
     return raw
+
+
+def _decode_one(data: bytes) -> cbor.CborItem:
+    item, consumed = cbor.decode(data)
+    if consumed != len(data):
+        raise CliError("trailing bytes after CBOR item")
+    return item
+
+
+def _write_item(item: cbor.CborItem, args) -> None:
+    _write_output(cbor.encode(item, EncodeOptions(float_mode=args.float_mode)), args.out, args.hex)
 
 
 def _report_flags(report: jsonbridge.ConversionReport) -> None:
@@ -101,15 +114,7 @@ def _make_context(args) -> CodecContext:
 
 
 def _cmd_cbor_encode(args) -> int:
-    data = _load_cbor_input(args.infile, as_hex=True)
-    item, consumed = cbor.decode(data)
-    if consumed != len(data):
-        raise CliError("trailing bytes after CBOR item")
-    _write_output(
-        cbor.encode(item, EncodeOptions(float_mode=args.float_mode)),
-        args.out,
-        args.hex,
-    )
+    _write_item(_decode_one(_load_cbor_input(args.infile, as_hex=True)), args)
     return 0
 
 
@@ -124,11 +129,7 @@ def _cmd_cbor_decode(args) -> int:
 
 
 def _cmd_cbor_diag(args) -> int:
-    data = _load_cbor_input(args.infile, args.hex)
-    item, consumed = cbor.decode(data)
-    if consumed != len(data):
-        raise CliError("trailing bytes after CBOR item")
-    print(cbor.to_diagnostic(item))
+    print(cbor.to_diagnostic(_decode_one(_load_cbor_input(args.infile, args.hex))))
     return 0
 
 
@@ -137,17 +138,12 @@ def _cmd_json_to_cbor(args) -> int:
     value = jsonbridge.parse_json(_read_text(args.infile))
     item = jsonbridge.json_to_cbor(value, args.float_mode, report)
     _report_flags(report)
-    _write_output(
-        cbor.encode(item, EncodeOptions(float_mode=args.float_mode)), args.out, args.hex
-    )
+    _write_item(item, args)
     return 0
 
 
 def _cmd_json_from_cbor(args) -> int:
-    data = _load_cbor_input(args.infile, args.hex)
-    item, consumed = cbor.decode(data)
-    if consumed != len(data):
-        raise CliError("trailing bytes after CBOR item")
+    item = _decode_one(_load_cbor_input(args.infile, args.hex))
     report = jsonbridge.ConversionReport()
     value = jsonbridge.cbor_to_json(item, report)
     _report_flags(report)
@@ -165,10 +161,7 @@ def _cmd_json_blob(args) -> int:
         value = jsonbridge.parse_json(_read_text(args.infile))
         item = jsonbridge.json_to_cbor(value, args.float_mode)
     else:
-        data = _load_cbor_input(args.infile, args.hex)
-        item, consumed = cbor.decode(data)
-        if consumed != len(data):
-            raise CliError("trailing bytes after CBOR item")
+        item = _decode_one(_load_cbor_input(args.infile, args.hex))
     report = jsonbridge.ConversionReport()
     if args.step == "tag34":
         item = jsonbridge.blob_tag_base64(item)
@@ -177,9 +170,7 @@ def _cmd_json_blob(args) -> int:
     else:
         item = jsonbridge.blob_embed_cbor(item, args.float_mode, report)
     _report_flags(report)
-    _write_output(
-        cbor.encode(item, EncodeOptions(float_mode=args.float_mode)), args.out, args.hex
-    )
+    _write_item(item, args)
     return 0
 
 
@@ -210,16 +201,9 @@ def _cmd_json_analyze(args) -> int:
             # recurses into it.
             item = jsonbridge.json_to_cbor(value, args.float_mode)
             minified = len(jsonbridge.minify(value).encode("utf-8"))
-            encoded = cbor.item_size(item, EncodeOptions(float_mode=args.float_mode))
-            report = taxonomy.compute_savings(minified, encoded)
-            record = taxonomy.classify(item, minified)
-        except (
-            OSError,
-            UnicodeDecodeError,
-            jsonbridge.JsonBridgeError,
-            cbor.CborError,
-            taxonomy.TaxonomyError,
-        ) as exc:
+            record = taxonomy.classify(item, minified, float_mode=args.float_mode)
+            report = taxonomy.compute_savings(minified, record.encoded_size)
+        except Exception as exc:  # one bad file never ends the run
             print("skip %s: %s" % (path.name, exc), file=sys.stderr)
             failures += 1
             continue
@@ -227,7 +211,7 @@ def _cmd_json_analyze(args) -> int:
             [
                 path.name,
                 minified,
-                encoded,
+                record.encoded_size,
                 report.savings_b,
                 "%.6f" % report.gain_g,
                 record.tier,

@@ -17,6 +17,7 @@ import binascii
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import Union
 
 from . import cbor
@@ -75,12 +76,6 @@ class JsonNumber:
     @property
     def is_integer(self) -> bool:
         return not any(c in self.lexeme for c in ".eE")
-
-    def as_int(self) -> int:
-        return int(self.lexeme)
-
-    def as_float(self) -> float:
-        return float(self.lexeme)
 
 
 @dataclass
@@ -159,14 +154,21 @@ def minify(value: JsonValue) -> str:
 
 
 def _minify_into(parts: list[str], value: JsonValue) -> None:
-    if value is None:
-        parts.append("null")
-    elif isinstance(value, bool):
-        parts.append("true" if value else "false")
+    # ``encode_basestring`` is what ``json.dumps(s, ensure_ascii=False)``
+    # returns for a string, without building an encoder for each call.
+    if isinstance(value, str):
+        parts.append(encode_basestring(value))
     elif isinstance(value, JsonNumber):
         parts.append(value.lexeme)
-    elif isinstance(value, str):
-        parts.append(json.dumps(value, ensure_ascii=False))
+    elif isinstance(value, JsonObject):
+        parts.append("{")
+        for i, (key, child) in enumerate(value.entries):
+            if i:
+                parts.append(",")
+            parts.append(encode_basestring(key))
+            parts.append(":")
+            _minify_into(parts, child)
+        parts.append("}")
     elif isinstance(value, list):
         parts.append("[")
         for i, child in enumerate(value):
@@ -174,15 +176,10 @@ def _minify_into(parts: list[str], value: JsonValue) -> None:
                 parts.append(",")
             _minify_into(parts, child)
         parts.append("]")
-    elif isinstance(value, JsonObject):
-        parts.append("{")
-        for i, (key, child) in enumerate(value.entries):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(key, ensure_ascii=False))
-            parts.append(":")
-            _minify_into(parts, child)
-        parts.append("}")
+    elif value is None:
+        parts.append("null")
+    elif isinstance(value, bool):
+        parts.append("true" if value else "false")
     else:
         raise JsonBridgeError("not a JSON value: %r" % (value,))
 
@@ -236,7 +233,7 @@ def _number_to_cbor(
     number: JsonNumber, float_mode: str, report: ConversionReport | None
 ) -> CborItem:
     if number.is_integer:
-        v = number.as_int()
+        v = int(number.lexeme)
         if 0 <= v <= _UINT64_MAX:
             return Uint(v)
         if _INT_MIN <= v < 0:
@@ -248,16 +245,14 @@ def _number_to_cbor(
         except OverflowError:
             f = float("inf") if v > 0 else float("-inf")
         return Float(f, 64)
-    f = number.as_float()
+    f = float(number.lexeme)
     width = cbor.smallest_float_width(f) if float_mode == cbor.FLOAT_SMALLEST else 64
     return Float(f, width)
 
 
 def cbor_to_json(item: CborItem, report: ConversionReport | None = None) -> JsonValue:
     """Reverse bridge; constructs JSON can't express are flagged in the report."""
-    if isinstance(item, Uint):
-        return JsonNumber(str(item.value))
-    if isinstance(item, Nint):
+    if isinstance(item, (Uint, Nint, Simple)):
         return JsonNumber(str(item.value))
     if isinstance(item, Bytes):
         return base64.urlsafe_b64encode(item.data).rstrip(b"=").decode("ascii")
@@ -280,8 +275,6 @@ def cbor_to_json(item: CborItem, report: ConversionReport | None = None) -> Json
         if report is not None:
             report.add("tag %d unwrapped" % item.number)
         return cbor_to_json(item.content, report)
-    if isinstance(item, Simple):
-        return JsonNumber(str(item.value))
     if isinstance(item, Bool):
         return item.value
     if isinstance(item, Null):
@@ -306,14 +299,30 @@ def _entry_index(blob: Map, key: str) -> int:
     return -1
 
 
-def blob_tag_base64(blob: Map) -> Map:
-    """Mark base64 content with tag 34 and drop the redundant encoding entry."""
+def _content_index(blob: Map) -> int:
     if not isinstance(blob, Map):
         raise MissingField("blob must be a map")
     content_i = _entry_index(blob, "content")
-    encoding_i = _entry_index(blob, "encoding")
     if content_i < 0:
         raise MissingField("no 'content' entry")
+    return content_i
+
+
+def _replace_content(blob: Map, content_i: int, content: CborItem, drop_i: int = -1) -> Map:
+    """``blob`` with new content and without the entry at ``drop_i``, if any."""
+    return Map(
+        [
+            (k, content if i == content_i else v)
+            for i, (k, v) in enumerate(blob.entries)
+            if i != drop_i
+        ]
+    )
+
+
+def blob_tag_base64(blob: Map) -> Map:
+    """Mark base64 content with tag 34 and drop the redundant encoding entry."""
+    content_i = _content_index(blob)
+    encoding_i = _entry_index(blob, "encoding")
     if encoding_i < 0:
         raise MissingField("no 'encoding' entry")
     enc_value = blob.entries[encoding_i][1]
@@ -322,14 +331,7 @@ def blob_tag_base64(blob: Map) -> Map:
     content = blob.entries[content_i][1]
     if not isinstance(content, Text):
         raise MissingField("'content' is not a text string")
-    entries = []
-    for i, (k, v) in enumerate(blob.entries):
-        if i == encoding_i:
-            continue
-        if i == content_i:
-            v = Tag(BLOB_BASE64_TAG, v)
-        entries.append((k, v))
-    return Map(entries)
+    return _replace_content(blob, content_i, Tag(BLOB_BASE64_TAG, content), encoding_i)
 
 
 _B64_CLEAN = re.compile(rb"[\r\n]+")
@@ -346,11 +348,7 @@ def decode_base64(text: str) -> bytes:
 
 def blob_to_bstr(blob: Map) -> Map:
     """Decode base64 content to a byte string and drop the size entry."""
-    if not isinstance(blob, Map):
-        raise MissingField("blob must be a map")
-    content_i = _entry_index(blob, "content")
-    if content_i < 0:
-        raise MissingField("no 'content' entry")
+    content_i = _content_index(blob)
     content = blob.entries[content_i][1]
     if isinstance(content, Tag) and content.number == BLOB_BASE64_TAG:
         content = content.content
@@ -365,14 +363,7 @@ def blob_to_bstr(blob: Map) -> Map:
                 "size entry %s != decoded length %d"
                 % (cbor.to_diagnostic(size_value), len(decoded))
             )
-    entries = []
-    for i, (k, v) in enumerate(blob.entries):
-        if i == size_i:
-            continue
-        if i == content_i:
-            v = Bytes(decoded)
-        entries.append((k, v))
-    return Map(entries)
+    return _replace_content(blob, content_i, Bytes(decoded), size_i)
 
 
 def blob_embed_cbor(
@@ -384,11 +375,7 @@ def blob_embed_cbor(
 
     Non-JSON payloads leave the map unchanged and are only reported.
     """
-    if not isinstance(blob, Map):
-        raise MissingField("blob must be a map")
-    content_i = _entry_index(blob, "content")
-    if content_i < 0:
-        raise MissingField("no 'content' entry")
+    content_i = _content_index(blob)
     content = blob.entries[content_i][1]
     if not isinstance(content, Bytes):
         raise MissingField("'content' is not a byte string")
@@ -401,6 +388,4 @@ def blob_embed_cbor(
     embedded = cbor.encode(
         json_to_cbor(value, float_mode, report), EncodeOptions(float_mode=float_mode)
     )
-    entries = list(blob.entries)
-    entries[content_i] = (entries[content_i][0], Tag(EMBEDDED_CBOR_TAG, Bytes(embedded)))
-    return Map(entries)
+    return _replace_content(blob, content_i, Tag(EMBEDDED_CBOR_TAG, Bytes(embedded)))

@@ -9,22 +9,28 @@ The prevalence and redundancy rules are explicit stand-ins: map keys
 count as leaves, and duplicates only count as redundancy when their
 encoding is at least 2 bytes.
 
-``classify`` makes one post-order pass over the item.  Each node returns
-its encoding, built as its head followed by its children's encodings, so
-every subtree is encoded once rather than once per ancestor.  The same
-pass counts content types and notes a container inside a container
-(tags are transparent).  Redundancy is keyed on that encoding under the
-default ``EncodeOptions`` rather than on a structural hash of the
-values.  The encoding is exact where such a hash is not: every NaN
-encodes as the one canonical NaN, while ``-0.0`` equals ``0.0`` as a
-value, and a float's preferred width changes its bytes but not its
-value.  The pass enforces ``cbor.DEFAULT_MAX_DEPTH`` as ``cbor.encode``
-does.
+``classify`` makes one post-order pass over the item.  Each node's
+encoding is built as its head followed by its children's encodings, so
+every subtree is encoded once rather than once per ancestor, and each
+distinct text is encoded once however often it recurs (map keys repeat
+across records).  The same pass counts content types and notes a
+container inside a container (tags are transparent).  Redundancy is
+keyed on that encoding under the default ``EncodeOptions`` rather than on
+a structural hash of the values.  The encoding is exact where such a hash
+is not: every NaN encodes as the one canonical NaN, while ``-0.0`` equals
+``0.0`` as a value, and a float's preferred width changes its bytes but
+not its value.  The pass enforces ``cbor.DEFAULT_MAX_DEPTH`` as
+``cbor.encode`` does.
+
+The pass also returns the item's size under the caller's float mode: the
+root encoding's length, corrected at each float (the only item whose
+length depends on the options), while the keys stay default-options
+encodings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import cbor
 from .cbor import (
@@ -32,6 +38,7 @@ from .cbor import (
     Bool,
     Bytes,
     CborItem,
+    EncodeOptions,
     Float,
     Map,
     Nint,
@@ -74,7 +81,6 @@ TIER_2_LIMIT = 1000
 CONTENT_TYPES = ("textual", "numeric", "binary", "taggy", "boolean", "structural")
 
 _LEAF_CONTENT = {
-    Uint: "numeric",
     Nint: "numeric",
     Float: "numeric",
     Bool: "boolean",
@@ -90,6 +96,8 @@ class TaxonomyRecord:
     content_type: str
     redundancy: str
     structure: str
+    # The item's CBOR size, a by-product of the walk and not a class.
+    encoded_size: int = field(default=0, compare=False)
 
 
 def size_tier(size: int) -> int:
@@ -100,55 +108,79 @@ def size_tier(size: int) -> int:
     return 3
 
 
-def classify(item: CborItem, encoded_size: int) -> TaxonomyRecord:
+def classify(
+    item: CborItem, original_size: int, *, float_mode: str = cbor.FLOAT_PRESERVE
+) -> TaxonomyRecord:
+    """``original_size`` sets the tier; ``encoded_size`` on the record is
+    ``cbor.item_size(item, EncodeOptions(float_mode=float_mode))``."""
     counts = dict.fromkeys(CONTENT_TYPES, 0)
     seen: set[bytes] = set()
+    texts: dict[str, bytes] = {}
+    float_opts = None if float_mode == cbor.FLOAT_PRESERVE else EncodeOptions(float_mode=float_mode)
     redundant = nested = False
+    size_change = 0
 
-    def visit(node: CborItem, depth: int, inside: bool) -> bytes:
-        # Returns the node's encoding under the default EncodeOptions;
-        # ``inside`` says whether an array or map encloses the node.
-        nonlocal redundant, nested
-        if depth < 0:
+    def walk(nodes, depth: int, inside: bool) -> bytes:
+        # Returns the encodings of ``nodes``, siblings at ``depth``, under
+        # the default EncodeOptions, joined; ``inside`` says whether an
+        # array or map encloses them.
+        nonlocal redundant, nested, size_change
+        if depth < 0 and nodes:
             raise cbor.DepthExceeded("item tree deeper than %d" % cbor.DEFAULT_MAX_DEPTH)
-        if isinstance(node, Text):
-            kind = "textual"
-            encoded = cbor.text_encoding(node.data)
-        elif isinstance(node, Array):
-            nested = nested or inside
-            kind = "structural"
-            encoded = cbor.head(4, len(node.items)) + b"".join(
-                [visit(child, depth - 1, True) for child in node.items]
-            )
-        elif isinstance(node, Map):
-            nested = nested or inside
-            kind = "structural"
-            encoded = cbor.head(5, len(node.entries)) + b"".join(
-                [visit(x, depth - 1, True) for pair in node.entries for x in pair]
-            )
-        elif isinstance(node, Tag):
-            kind = "taggy"
-            encoded = cbor.head(6, node.number) + visit(node.content, depth - 1, inside)
-        else:
-            encoded = cbor.encode(node)
-            if isinstance(node, Simple):
-                # Simple values below the limit are packed-table references.
-                kind = "taggy" if node.value < SIMPLE_REF_LIMIT else "numeric"
+        parts = []
+        for node in nodes:
+            kind = type(node)
+            if kind is Text:
+                # Only texts encode with major type 3: ``texts`` is all a text can repeat.
+                counts["textual"] += 1
+                encoded = texts.get(node.data)
+                if encoded is None:
+                    encoded = texts[node.data] = cbor.text_encoding(node.data)
+                elif len(encoded) >= 2:
+                    redundant = True
+                parts.append(encoded)
+                continue
+            if kind is Map:
+                nested = nested or inside
+                content = "structural"
+                encoded = cbor.head(5, len(node.entries)) + walk(
+                    [x for pair in node.entries for x in pair], depth - 1, True
+                )
+            elif kind is Uint:
+                content = "numeric"
+                encoded = cbor.head(0, node.value)
+            elif kind is Array:
+                nested = nested or inside
+                content = "structural"
+                encoded = cbor.head(4, len(node.items)) + walk(node.items, depth - 1, True)
+            elif kind is Tag:
+                content = "taggy"
+                encoded = cbor.head(6, node.number) + walk((node.content,), depth - 1, inside)
             else:
-                kind = _LEAF_CONTENT[type(node)]
-        counts[kind] += 1
-        if len(encoded) >= 2:
-            if encoded in seen:
-                redundant = True
-            else:
-                seen.add(encoded)
-        return encoded
+                encoded = cbor.encode(node)
+                if kind is Simple:
+                    # Simple values below the limit are packed-table references.
+                    content = "taggy" if node.value < SIMPLE_REF_LIMIT else "numeric"
+                else:
+                    content = _LEAF_CONTENT[kind]
+                    if kind is Float and float_opts is not None:
+                        # The one leaf whose length depends on the options.
+                        size_change += len(cbor.encode(node, float_opts)) - len(encoded)
+            counts[content] += 1
+            if len(encoded) >= 2:
+                if encoded in seen:
+                    redundant = True
+                else:
+                    seen.add(encoded)
+            parts.append(encoded)
+        return b"".join(parts)
 
-    visit(item, cbor.DEFAULT_MAX_DEPTH, False)
+    root = walk((item,), cbor.DEFAULT_MAX_DEPTH, False)
     winner = max(CONTENT_TYPES, key=lambda t: (counts[t], -CONTENT_TYPES.index(t)))
     return TaxonomyRecord(
-        tier=size_tier(encoded_size),
+        tier=size_tier(original_size),
         content_type=winner,
         redundancy="redundant" if redundant else "non_redundant",
         structure="nested" if nested else "flat",
+        encoded_size=len(root) + size_change,
     )

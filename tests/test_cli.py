@@ -1,11 +1,15 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_pcap, build_udp_frame, random_message
 from cborkit import analysis, cbor
-from cborkit.cli import run
-from cborkit.jsonbridge import json_to_cbor, parse_json
+from cborkit.cli import FLOAT_MODES, run
+from cborkit.jsonbridge import JsonNumber, JsonObject, json_to_cbor, minify, parse_json
 from cborkit.dnswire import (
     CLASS_IN,
     DnsMessage,
@@ -314,3 +318,63 @@ def test_parser_is_reused_across_runs(tmp_path, capsys):
     assert run(["cbor", "diag", "--in", str(binary_item)]) == 0  # --hex does not carry over
     assert capsys.readouterr().out.split() == ["12", "12"]
     assert cli._parser() is parser
+
+
+def test_json_analyze_skips_a_lone_surrogate(tmp_path, capsys):
+    # "\ud800" is valid JSON syntax, but the text has no UTF-8 form.
+    (tmp_path / "a.json").write_text('{"a":1}')
+    (tmp_path / "b.json").write_text('["\\ud800"]')
+    (tmp_path / "c.json").write_text('{"\\udfff":1}')
+    (tmp_path / "d.json").write_text("[1]")
+    out = tmp_path / "report.csv"
+    assert run(["json", "analyze", "--in", str(tmp_path), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["a.json", "d.json"]
+    err = capsys.readouterr().err
+    assert "skip b.json: " in err and "skip c.json: " in err and "2 file(s) skipped" in err
+
+
+def test_json_minify_lone_surrogate_is_exit_1(tmp_path, capsys):
+    source = tmp_path / "s.json"
+    source.write_text('["\\ud800"]')
+    out = tmp_path / "min.json"
+    assert run(["json", "minify", "--in", str(source), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert run(["json", "minify", "--in", str(source)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error: ") == 2
+
+
+# Integers beyond 64 bits become 64-bit floats, which encode shorter under
+# ``--float-mode smallest`` when a narrower width holds them exactly (any
+# power of two up to 2**127) and overflow to infinity past a double's range.
+_wide_ints = st.one_of(
+    st.tuples(st.integers(64, 1100), st.sampled_from((1, -1))).map(lambda t: t[1] * 2 ** t[0]),
+    st.integers(2**64, 2**90),
+    st.integers(-(2**90), -(2**64) - 1),
+    st.integers(-(2**64), 2**64 - 1),
+)
+_numbers = st.one_of(
+    _wide_ints.map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e400", "-1e400", "-0", "-0.0", "65504.0", "1.5", "0.1"]),
+).map(JsonNumber)
+_documents = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(st.tuples(st.text(max_size=4), children), max_size=4).map(JsonObject),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_documents)
+def test_json_analyze_cbor_size_is_the_encoded_size(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "v.json").write_text(minify(value), encoding="utf-8")
+        for mode in FLOAT_MODES:
+            out = Path(tmp) / ("%s.csv" % mode)
+            assert run(["json", "analyze", "--in", tmp, "--out", str(out), "--float-mode", mode]) == 0
+            row = out.read_text().splitlines()[1].split(",")
+            item = json_to_cbor(value, mode)
+            assert int(row[2]) == cbor.item_size(item, cbor.EncodeOptions(float_mode=mode))

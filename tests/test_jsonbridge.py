@@ -1,4 +1,5 @@
 import base64
+import json
 import random
 
 import pytest
@@ -275,3 +276,22 @@ def test_cbor_smaller_for_short_string_integer_json():
         minified = len(minify(value).encode())
         encoded = cbor.item_size(json_to_cbor(value))
         assert encoded <= minified
+
+
+# Every character JSON must or may escape, and lone surrogates, which
+# ``json.dumps`` passes through unescaped when ``ensure_ascii`` is off.
+_escape_prone_text = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from('\x00\x08\t\n\x1f\x7f"\\/\u2028\u2029\ud800\udfff'),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=["Cs"]),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_escape_prone_text)
+def test_minify_escapes_strings_as_json_dumps(s):
+    expected = json.dumps(s, ensure_ascii=False)
+    assert minify(s) == expected
+    assert minify(JsonObject([(s, [s])])) == "{%s:[%s]}" % (expected, expected)

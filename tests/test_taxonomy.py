@@ -298,3 +298,11 @@ def test_classify_depth_bound_matches_encode():
 def test_classify_rejects_lone_surrogate():
     with pytest.raises(cbor.InvalidUtf8):
         classify(Array([Text("ok"), Map([(Text("\ud800"), Uint(1))])]), 100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, st.sampled_from([cbor.FLOAT_PRESERVE, cbor.FLOAT_FORCE_DOUBLE, cbor.FLOAT_SMALLEST]))
+def test_classify_size_is_item_size_under_the_float_mode(item, mode):
+    opts = cbor.EncodeOptions(float_mode=mode)
+    assert classify(item, 100, float_mode=mode).encoded_size == cbor.item_size(item, opts)
+    assert classify(item, 100).encoded_size == cbor.item_size(item)
