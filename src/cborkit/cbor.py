@@ -175,13 +175,6 @@ def int_item(value: int) -> CborItem:
 @dataclass(frozen=True)
 class EncodeOptions:
     float_mode: str = FLOAT_PRESERVE
-    max_depth: int = DEFAULT_MAX_DEPTH
-
-
-@dataclass(frozen=True)
-class DecodeOptions:
-    accept_indefinite: bool = True
-    max_depth: int = DEFAULT_MAX_DEPTH
 
 
 _ONE_BYTE_HEADS = [bytes((initial,)) for initial in range(256)]
@@ -278,7 +271,7 @@ def smallest_float_width(value: float) -> int:
 
 def encode(item: CborItem, opts: EncodeOptions = EncodeOptions()) -> bytes:
     out = bytearray()
-    _encode_into(out, item, opts, opts.max_depth)
+    _encode_into(out, item, opts, DEFAULT_MAX_DEPTH)
     return bytes(out)
 
 
@@ -288,13 +281,13 @@ def item_size(item: CborItem, opts: EncodeOptions = EncodeOptions()) -> int:
     # Not len(encode(...)): that copies the buffer, and a wrapper that
     # traces ``encode`` would count each size query as an encode.
     out = bytearray()
-    _encode_into(out, item, opts, opts.max_depth)
+    _encode_into(out, item, opts, DEFAULT_MAX_DEPTH)
     return len(out)
 
 
 def _encode_into(out: bytearray, item: CborItem, opts: EncodeOptions, depth: int) -> None:
     if depth < 0:
-        raise DepthExceeded("item tree deeper than %d" % opts.max_depth)
+        raise DepthExceeded("item tree deeper than %d" % DEFAULT_MAX_DEPTH)
     # One branch per item class, the most frequent first.
     kind = type(item)
     if kind is Text:
@@ -346,24 +339,22 @@ _ARG_BYTES = {24: 1, 25: 2, 26: 4, 27: 8}
 _FLOAT_FORMATS = {2: ">e", 4: ">f", 8: ">d"}
 
 
-def decode(
-    data: bytes, opts: DecodeOptions = DecodeOptions()
-) -> tuple[CborItem, int]:
+def decode(data: bytes) -> tuple[CborItem, int]:
     """Decode one item; returns (item, bytes consumed) so callers can
     parse CBOR sequences.  Never reads past the input."""
     if not data:
         raise Truncated("empty input")
-    return _decode_item(bytes(data), 0, opts, opts.max_depth, False)
+    return _decode_item(bytes(data), 0, DEFAULT_MAX_DEPTH, False)
 
 
 def _truncated(need: int, pos: int, end: int) -> Truncated:
     return Truncated("need %d bytes at offset %d, have %d" % (need, pos, end - pos))
 
 
-def _decode_item(data: bytes, pos: int, opts: DecodeOptions, depth: int, allow_break: bool):
+def _decode_item(data: bytes, pos: int, depth: int, allow_break: bool):
     """The item whose head is at ``data[pos]``, and the offset after it."""
     if depth < 0:
-        raise DepthExceeded("nesting deeper than %d" % opts.max_depth)
+        raise DepthExceeded("nesting deeper than %d" % DEFAULT_MAX_DEPTH)
     end = len(data)
     if pos >= end:
         raise _truncated(1, pos, end)
@@ -381,9 +372,7 @@ def _decode_item(data: bytes, pos: int, opts: DecodeOptions, depth: int, allow_b
                 raise MalformedIndefinite("stray break")
             if major < 2 or major == 6:
                 raise ReservedIndicator("indefinite length invalid for major %d" % major)
-            if not opts.accept_indefinite:
-                raise MalformedIndefinite("indefinite length not accepted")
-            return _decode_indefinite(data, pos, major, opts, depth)
+            return _decode_indefinite(data, pos, major, depth)
         if pos + size > end:
             raise _truncated(size, pos, end)
         arg = int.from_bytes(data[pos : pos + size], "big")
@@ -404,17 +393,17 @@ def _decode_item(data: bytes, pos: int, opts: DecodeOptions, depth: int, allow_b
     if major == 4:
         items = []
         for _ in range(arg):
-            child, pos = _decode_item(data, pos, opts, depth - 1, False)
+            child, pos = _decode_item(data, pos, depth - 1, False)
             items.append(child)
         return Array(items), pos
     if major == 6:
-        content, pos = _decode_item(data, pos, opts, depth - 1, False)
+        content, pos = _decode_item(data, pos, depth - 1, False)
         return Tag(arg, content), pos
     if major == 5:
         entries = []
         for _ in range(arg):
-            key, pos = _decode_item(data, pos, opts, depth - 1, False)
-            value, pos = _decode_item(data, pos, opts, depth - 1, False)
+            key, pos = _decode_item(data, pos, depth - 1, False)
+            value, pos = _decode_item(data, pos, depth - 1, False)
             entries.append((key, value))
         return Map(entries), pos
     if major == 1:
@@ -436,7 +425,7 @@ def _decode_item(data: bytes, pos: int, opts: DecodeOptions, depth: int, allow_b
     return Float(value, 8 * size), pos
 
 
-def _decode_indefinite(data: bytes, pos: int, major: int, opts: DecodeOptions, depth: int):
+def _decode_indefinite(data: bytes, pos: int, major: int, depth: int):
     if major in (2, 3):
         chunks = []
         while True:
@@ -452,7 +441,7 @@ def _decode_indefinite(data: bytes, pos: int, major: int, opts: DecodeOptions, d
                 raise MalformedIndefinite(
                     "indefinite string chunk of wrong type (major %d)" % chunk_major
                 )
-            chunk, pos = _decode_item(data, pos, opts, depth - 1, False)
+            chunk, pos = _decode_item(data, pos, depth - 1, False)
             chunks.append(chunk.data)  # type: ignore[union-attr]
         if major == 2:
             return Bytes(b"".join(chunks)), pos
@@ -460,17 +449,17 @@ def _decode_indefinite(data: bytes, pos: int, major: int, opts: DecodeOptions, d
     if major == 4:
         items = []
         while True:
-            child, pos = _decode_item(data, pos, opts, depth - 1, True)
+            child, pos = _decode_item(data, pos, depth - 1, True)
             if child is _BREAK:
                 return Array(items), pos
             items.append(child)
     # major == 5
     entries = []
     while True:
-        key, pos = _decode_item(data, pos, opts, depth - 1, True)
+        key, pos = _decode_item(data, pos, depth - 1, True)
         if key is _BREAK:
             return Map(entries), pos
-        value, pos = _decode_item(data, pos, opts, depth - 1, True)
+        value, pos = _decode_item(data, pos, depth - 1, True)
         if value is _BREAK:
             raise MalformedIndefinite("break splits a map pair")
         entries.append((key, value))

@@ -201,7 +201,7 @@ def _cmd_json_analyze(args) -> int:
             # recurses into it.
             item = jsonbridge.json_to_cbor(value, args.float_mode)
             minified = len(jsonbridge.minify(value).encode("utf-8"))
-            record = taxonomy.classify(item, minified, float_mode=args.float_mode)
+            record = taxonomy.classify(item, minified)
             report = taxonomy.compute_savings(minified, record.encoded_size)
         except Exception as exc:  # one bad file never ends the run
             print("skip %s: %s" % (path.name, exc), file=sys.stderr)

@@ -18,8 +18,9 @@ The layout leans on element order instead of field keys:
 
 Names are either one text string (presentation form, mode ``None``) or
 spliced label components.  In component mode every emitted text string
-gets a depth-first index and each name suffix remembers the index of
-its first component; later names replace a known suffix with a single
+gets a depth-first index and a ``dnswire.SuffixTable`` maps each name
+suffix to the index of its first component, under the rule wire pointers
+follow: later names replace their longest known suffix with a single
 reference tag carrying that index, and the decoder rebuilds the name by
 jumping to the indexed component and appending what follows.
 """
@@ -27,7 +28,7 @@ jumping to the indexed component and appending what follows.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cbor
 from .cbor import Array, Bytes, CborItem, Tag, Text, Uint
@@ -40,6 +41,7 @@ from .dnswire import (
     RDATA_LAYOUTS,
     RdataFields,
     ResourceRecord,
+    SuffixTable,
     TYPE_AAAA,
     pack_rdata,
 )
@@ -111,40 +113,6 @@ class CodecContext:
 
 
 @dataclass
-class ComponentIndex:
-    """Encoder-side suffix registry for component referencing.
-
-    Every literally emitted component consumes the next index; each
-    suffix of an emitted name maps to the index of its first component,
-    and the earliest registration wins.  Names are keyed by ``Name.key()``,
-    so a suffix matches up to ASCII case.
-    """
-
-    next_index: int = 0
-    suffix_table: dict[tuple[bytes, ...], int] = field(default_factory=dict)
-
-    def lookup_longest_suffix(self, key: tuple[bytes, ...]) -> tuple[int, int | None]:
-        """Minimal literal count plus the reference index for the rest."""
-        for i in range(len(key)):
-            index = self.suffix_table.get(key[i:])
-            if index is not None:
-                return i, index
-        return len(key), None
-
-    def register_name(self, key: tuple[bytes, ...], literal_count: int) -> None:
-        """Record a name emitted as ``literal_count`` components plus an
-        optional reference covering the remainder of ``key``."""
-        for i in range(literal_count):
-            self.suffix_table.setdefault(key[i:], self.next_index + i)
-        self.next_index += literal_count
-
-    def register_root(self) -> None:
-        # The root name is one empty text string; it consumes an index
-        # but registers no suffix (a reference would never be shorter).
-        self.next_index += 1
-
-
-@dataclass
 class EncodedMessage:
     """Encoder output plus what was lost or elided along the way."""
 
@@ -154,14 +122,13 @@ class EncodedMessage:
     question_elided: bool = False
     references: int = 0  # component reference tags emitted
 
-    def __bytes__(self) -> bytes:
-        return self.data
-
 
 class _Encoder:
     def __init__(self, ctx: CodecContext):
         self.ctx = ctx
-        self.index = ComponentIndex()
+        # Every literally emitted component takes the next index.
+        self.next_index = 0
+        self.suffixes = SuffixTable()
         self.question_emitted = False
         self.references = 0
 
@@ -170,19 +137,23 @@ class _Encoder:
         if mode is None:
             return [Text(name.to_text())]
         if not name.labels:
-            self.index.register_root()
+            # One empty text string: it takes an index but records no
+            # suffix, since a reference would never be shorter.
+            self.next_index += 1
             return [Text("")]
         try:
             components = name.components()
         except UnicodeDecodeError as exc:
             raise TypeMismatch("name label is not UTF-8 text: %s" % exc) from exc
         key = name.key()
-        literal_count, ref = self.index.lookup_longest_suffix(key)
+        literal_count, ref = self.suffixes.longest(key)
         items: list[CborItem] = [Text(c) for c in components[:literal_count]]
         if ref is not None:
             items.append(Tag(mode.tag, Uint(ref)))
             self.references += 1
-        self.index.register_name(key, literal_count)
+        for i in range(literal_count):
+            self.suffixes.setdefault(key[i:], self.next_index + i)
+        self.next_index += literal_count
         return items
 
     def question_items(self, question: Question) -> Array:

@@ -2,11 +2,14 @@
 
 Names decode with full compression-pointer expansion; the pointer chain
 must move strictly backwards, so parsing is linear and loop-free.  On
-encode, compression reuses the longest previously written suffix whose
-offset fits the 14-bit pointer, including names embedded in the rdata
-of the RFC 1035 record types that carry them (NS, CNAME, SOA, PTR, MX,
-SRV).  Decoded rdata for those types is re-serialized uncompressed so a
-message compares equal regardless of how it was compressed on the wire.
+encode, compression points at the longest previously written suffix,
+its earliest occurrence, including names embedded in the rdata of the
+RFC 1035 record types that carry them (NS, CNAME, SOA, PTR, MX, SRV).
+``SuffixTable`` states that rule once, for these byte offsets (an offset
+past the 14-bit pointer range is never recorded) and for the component
+indices of ``dnscbor``.  Decoded rdata for those types is re-serialized
+uncompressed so a message compares equal regardless of how it was
+compressed on the wire.
 
 ``RDATA_LAYOUTS`` is the one place the byte layout of name-bearing rdata
 lives: the wire codec, the CBOR codec and the analysis all split and
@@ -80,9 +83,6 @@ RDATA_LAYOUTS: dict[int, tuple[str, int, str]] = {
     TYPE_SRV: ("HHH", 1, ""),  # priority, weight, port, target
     TYPE_SOA: ("", 2, "IIIII"),  # mname, rname, serial .. minimum
 }
-
-# Record types whose rdata embeds names that may be pointer-compressed.
-NAME_BEARING_TYPES = frozenset(RDATA_LAYOUTS)
 
 FLAG_QR = 0x8000
 
@@ -412,47 +412,54 @@ def decode_wire(data: bytes) -> DnsMessage:
     return DnsMessage(msg_id, flags, questions, *sections)
 
 
-class _Compressor:
-    """Tracks emitted name suffixes; earliest offset wins."""
+class SuffixTable(dict):
+    """Name suffixes, as tails of ``Name.key()``, each mapped to the position
+    where it first appeared: a byte offset for wire pointers (RFC 1035
+    section 4.1.4), a component index for CBOR references.  Record a suffix
+    with ``setdefault`` so the earliest position wins."""
 
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.offsets: dict[tuple[bytes, ...], int] = {}
+    def longest(self, key: tuple[bytes, ...]) -> tuple[int, int | None]:
+        """The number of leading labels to spell out and the position of
+        the longest recorded suffix covering the rest (None: no suffix)."""
+        for i in range(len(key)):
+            position = self.get(key[i:])
+            if position is not None:
+                return i, position
+        return len(key), None
 
-    def emit(self, out: bytearray, name: Name) -> None:
-        labels = name.labels
-        key = name.key()
-        if self.enabled:
-            for i in range(len(labels)):
-                offset = self.offsets.get(key[i:])
-                if offset is not None and offset <= _MAX_POINTER:
-                    self._emit_literals(out, labels[:i], key[:i], key[i:])
-                    out += struct.pack(">H", 0xC000 | offset)
-                    return
-        self._emit_literals(out, labels, key, ())
+
+def _emit_name(out: bytearray, name: Name, table: SuffixTable | None) -> None:
+    if table is None:
+        out += name.to_wire()
+        return
+    labels = name.labels
+    key = name.key()
+    literal_count, offset = table.longest(key)
+    for i in range(literal_count):
+        # A suffix written past the 14-bit pointer range is never recorded;
+        # later offsets only grow, so it stays out of reach.
+        if len(out) <= _MAX_POINTER:
+            table.setdefault(key[i:], len(out))
+        out.append(len(labels[i]))
+        out += labels[i]
+    if offset is None:
         out.append(0)
-
-    def _emit_literals(self, out, labels, keys, tail_key) -> None:
-        for i, label in enumerate(labels):
-            suffix = keys[i:] + tail_key
-            if self.enabled and suffix not in self.offsets:
-                self.offsets[suffix] = len(out)
-            out.append(len(label))
-            out += label
+    else:
+        out += struct.pack(">H", 0xC000 | offset)
 
 
-def _emit_rdata(out: bytearray, record: ResourceRecord, comp: _Compressor) -> None:
+def _emit_rdata(out: bytearray, record: ResourceRecord, table: SuffixTable | None) -> None:
     rdlen_at = len(out)
     out += b"\x00\x00"
     start = len(out)
-    fields = record.rdata_fields() if comp.enabled else None
+    fields = record.rdata_fields() if table is not None else None
     if fields is None:
         out += record.rdata  # also rdata that does not fit its layout
     else:
         head, _, tail = RDATA_LAYOUTS[record.rtype]
         out += struct.pack(">" + head, *fields.prefix)
         for name in fields.names:
-            comp.emit(out, name)
+            _emit_name(out, name, table)
         out += struct.pack(">" + tail, *fields.tail)
     struct.pack_into(">H", out, rdlen_at, len(out) - start)
 
@@ -473,14 +480,14 @@ def encode_wire(msg: DnsMessage, compress: bool = True) -> bytes:
                 len(msg.additional),
             )
         )
-        comp = _Compressor(compress)
+        table = SuffixTable() if compress else None
         for question in msg.questions:
-            comp.emit(out, question.name)
+            _emit_name(out, question.name, table)
             out += struct.pack(">HH", question.rtype, question.rclass)
         for record in (*msg.answers, *msg.authority, *msg.additional):
-            comp.emit(out, record.name)
+            _emit_name(out, record.name, table)
             out += struct.pack(">HHI", record.rtype, record.rclass, record.ttl)
-            _emit_rdata(out, record, comp)
+            _emit_rdata(out, record, table)
     except struct.error as exc:
         raise FieldOverflow("message field: %s" % exc) from exc
     return bytes(out)

@@ -26,7 +26,6 @@ from .cbor import (
     Bool,
     Bytes,
     CborItem,
-    EncodeOptions,
     Float,
     Map,
     Nint,
@@ -191,9 +190,11 @@ def json_to_cbor(
 ) -> CborItem:
     """Total conversion; numeric-precision losses are flagged, never raised.
 
-    ``float_mode`` only controls the preferred width recorded on floats
-    (``smallest`` picks the narrowest exact width); the actual byte
-    width is decided when the item is encoded.  Nesting deeper than
+    This is the one place a JSON float's width is decided (also for an
+    integer beyond 64 bits): the narrowest exact width under ``smallest``,
+    64 bits otherwise, as JSON has no width for ``preserve`` to keep.  It
+    is the float's preferred width, so the item encodes the same under the
+    default options as under ``float_mode``.  Nesting deeper than
     ``cbor.DEFAULT_MAX_DEPTH``, which ``cbor.encode`` would reject, raises
     ``cbor.DepthExceeded``.
     """
@@ -244,8 +245,8 @@ def _number_to_cbor(
             f = float(v)
         except OverflowError:
             f = float("inf") if v > 0 else float("-inf")
-        return Float(f, 64)
-    f = float(number.lexeme)
+    else:
+        f = float(number.lexeme)
     width = cbor.smallest_float_width(f) if float_mode == cbor.FLOAT_SMALLEST else 64
     return Float(f, width)
 
@@ -385,7 +386,5 @@ def blob_embed_cbor(
         if report is not None:
             report.add("content is not JSON (%s); left unchanged" % exc)
         return blob
-    embedded = cbor.encode(
-        json_to_cbor(value, float_mode, report), EncodeOptions(float_mode=float_mode)
-    )
+    embedded = cbor.encode(json_to_cbor(value, float_mode, report))
     return _replace_content(blob, content_i, Tag(EMBEDDED_CBOR_TAG, Bytes(embedded)))

@@ -20,12 +20,9 @@ a structural hash of the values.  The encoding is exact where such a hash
 is not: every NaN encodes as the one canonical NaN, while ``-0.0`` equals
 ``0.0`` as a value, and a float's preferred width changes its bytes but
 not its value.  The pass enforces ``cbor.DEFAULT_MAX_DEPTH`` as
-``cbor.encode`` does.
-
-The pass also returns the item's size under the caller's float mode: the
-root encoding's length, corrected at each float (the only item whose
-length depends on the options), while the keys stay default-options
-encodings.
+``cbor.encode`` does, and the root encoding's length is the item's size
+under the default options.  A JSON document's float widths are set by
+``jsonbridge.json_to_cbor``, so that size holds under every float mode.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from .cbor import (
     Bool,
     Bytes,
     CborItem,
-    EncodeOptions,
     Float,
     Map,
     Nint,
@@ -108,23 +104,19 @@ def size_tier(size: int) -> int:
     return 3
 
 
-def classify(
-    item: CborItem, original_size: int, *, float_mode: str = cbor.FLOAT_PRESERVE
-) -> TaxonomyRecord:
+def classify(item: CborItem, original_size: int) -> TaxonomyRecord:
     """``original_size`` sets the tier; ``encoded_size`` on the record is
-    ``cbor.item_size(item, EncodeOptions(float_mode=float_mode))``."""
+    ``cbor.item_size(item)``."""
     counts = dict.fromkeys(CONTENT_TYPES, 0)
     seen: set[bytes] = set()
     texts: dict[str, bytes] = {}
-    float_opts = None if float_mode == cbor.FLOAT_PRESERVE else EncodeOptions(float_mode=float_mode)
     redundant = nested = False
-    size_change = 0
 
     def walk(nodes, depth: int, inside: bool) -> bytes:
         # Returns the encodings of ``nodes``, siblings at ``depth``, under
         # the default EncodeOptions, joined; ``inside`` says whether an
         # array or map encloses them.
-        nonlocal redundant, nested, size_change
+        nonlocal redundant, nested
         if depth < 0 and nodes:
             raise cbor.DepthExceeded("item tree deeper than %d" % cbor.DEFAULT_MAX_DEPTH)
         parts = []
@@ -163,9 +155,6 @@ def classify(
                     content = "taggy" if node.value < SIMPLE_REF_LIMIT else "numeric"
                 else:
                     content = _LEAF_CONTENT[kind]
-                    if kind is Float and float_opts is not None:
-                        # The one leaf whose length depends on the options.
-                        size_change += len(cbor.encode(node, float_opts)) - len(encoded)
             counts[content] += 1
             if len(encoded) >= 2:
                 if encoded in seen:
@@ -182,5 +171,5 @@ def classify(
         content_type=winner,
         redundancy="redundant" if redundant else "non_redundant",
         structure="nested" if nested else "flat",
-        encoded_size=len(root) + size_change,
+        encoded_size=len(root),
     )

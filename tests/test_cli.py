@@ -345,7 +345,7 @@ def test_json_minify_lone_surrogate_is_exit_1(tmp_path, capsys):
     assert captured.out == "" and captured.err.count("error: ") == 2
 
 
-# Integers beyond 64 bits become 64-bit floats, which encode shorter under
+# Integers beyond 64 bits become floats, which are narrower under
 # ``--float-mode smallest`` when a narrower width holds them exactly (any
 # power of two up to 2**127) and overflow to infinity past a double's range.
 _wide_ints = st.one_of(

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_message
-from cborkit import cbor, dnspacked
+from cborkit import cbor, dnscbor, dnspacked
 from cborkit.cbor import Array, Bytes, CborItem, Tag, Text, Uint
 from cborkit.dnscbor import (
     BadReference,
     CodecContext,
     DnsCborError,
-    ComponentIndex,
     ComponentRef,
     MissingQuestionContext,
     MultiQuestion,
+    REF_TAG_1PLUS0,
     ROLE_QUERY,
     ROLE_RESPONSE,
     TypeMismatch,
@@ -260,52 +260,64 @@ def test_query_answers_dropped_by_default():
         decode_message(encoded_ka.data, ctx)
 
 
+def _component_encoder():
+    return dnscbor._Encoder(CodecContext(mode=ComponentRef.one_plus_zero()))
+
+
 def test_component_index_registration():
-    index = ComponentIndex()
-    index.register_name(("www", "example", "org"), 3)
-    assert index.suffix_table == {
-        ("www", "example", "org"): 0,
-        ("example", "org"): 1,
-        ("org",): 2,
+    encoder = _component_encoder()
+    table = encoder.suffixes
+    assert encoder.name_items(Name.from_text("www.example.org")) == [
+        Text("www"), Text("example"), Text("org")]
+    assert table == {
+        (b"www", b"example", b"org"): 0,
+        (b"example", b"org"): 1,
+        (b"org",): 2,
     }
-    assert index.next_index == 3
+    assert encoder.next_index == 3
     # whole-name match
-    assert index.lookup_longest_suffix(("example", "org")) == (0, 1)
+    assert table.longest((b"example", b"org")) == (0, 1)
     # no match
-    assert index.lookup_longest_suffix(("nomatch", "test")) == (2, None)
+    assert table.longest((b"nomatch", b"test")) == (2, None)
     # partial match against the table (brute-force cross-check below)
-    assert index.lookup_longest_suffix(("a", "example", "org")) == (1, 1)
+    assert table.longest((b"a", b"example", b"org")) == (1, 1)
     # keys are case-folded by the caller, ASCII letters only
     assert Name((b"A", b"EXAMPLE", b"Org", "É".encode())).key() == (
         b"a", b"example", b"org", "É".encode())
-    index.register_name(("mail", "example", "org"), 1)
-    assert index.suffix_table[("mail", "example", "org")] == 3
-    assert index.next_index == 4
-    # re-registering keeps the earliest index
-    index.register_name(("example", "org"), 0)
-    assert index.suffix_table[("example", "org")] == 1
-    assert index.next_index == 4
+    assert encoder.name_items(Name.from_text("mail.Example.org")) == [
+        Text("mail"), Tag(REF_TAG_1PLUS0, Uint(1))]
+    assert table[(b"mail", b"example", b"org")] == 3
+    assert encoder.next_index == 4
+    # emitting a recorded suffix again keeps the earliest index
+    assert encoder.name_items(Name.from_text("example.org")) == [Tag(REF_TAG_1PLUS0, Uint(1))]
+    assert table[(b"example", b"org")] == 1
+    assert encoder.next_index == 4
+    # the root takes an index and records no suffix
+    assert encoder.name_items(Name()) == [Text("")]
+    assert encoder.next_index == 5 and len(table) == 4
 
 
 def test_lookup_matches_brute_force():
     rng = random.Random(9)
-    index = ComponentIndex()
-    emitted: list[tuple[str, ...]] = []
-    pool = ["org", "net", "example", "www", "mail", "a", "b"]
+    encoder = _component_encoder()
+    table = encoder.suffixes
+    pool = [b"org", b"net", b"example", b"www", b"mail", b"a", b"b"]
     for _ in range(100):
         labels = tuple(rng.choice(pool) for _ in range(rng.randrange(1, 5)))
-        literal, ref = index.lookup_longest_suffix(labels)
+        literal, ref = table.longest(labels)
         # brute force: smallest i whose suffix is in the table
         expect_literal, expect_ref = len(labels), None
         for i in range(len(labels)):
-            if labels[i:] in index.suffix_table:
-                expect_literal, expect_ref = i, index.suffix_table[labels[i:]]
+            if labels[i:] in table:
+                expect_literal, expect_ref = i, table[labels[i:]]
                 break
         assert (literal, ref) == (expect_literal, expect_ref)
-        index.register_name(labels, literal)
-        emitted.append(labels)
+        # the encoder spells out that many labels and references the rest
+        items = encoder.name_items(Name(labels))
+        assert items[:literal] == [Text(label.decode()) for label in labels[:literal]]
+        assert items[literal:] == ([] if ref is None else [Tag(REF_TAG_1PLUS0, Uint(ref))])
     # every table index points below next_index and is consistent
-    assert all(v < index.next_index for v in index.suffix_table.values())
+    assert all(v < encoder.next_index for v in table.values())
 
 
 def test_reference_validity_forward_refs_impossible():

@@ -273,6 +273,9 @@ def _oracle_pack(item, mode):
             if len(occs) >= 2:
                 cands.append(("prefix", Bytes(prefix), occs))
     cands.sort(key=lambda c: (min(c[2]), c[0], cbor.encode(c[1])))
+    # Items are immutable, so each entry and each original is sized once.
+    entry_size = {entry: cbor.item_size(entry) for _, entry, _ in cands}
+    original_size = {pos: cbor.item_size(positions[pos]) for _, _, occs in cands for pos in occs}
 
     def reference(kind, entry, original, index):
         if kind == "value":
@@ -289,10 +292,10 @@ def _oracle_pack(item, mode):
         index = len(table)
         best, best_saving = None, 0
         for kind, entry, occs in cands:
-            saving = -cbor.item_size(entry)
+            saving = -entry_size[entry]
             for pos, original in occs.items():
                 if pos not in consumed:
-                    saving += cbor.item_size(original) - cbor.item_size(
+                    saving += original_size[pos] - cbor.item_size(
                         reference(kind, entry, original, index)
                     )
             if saving > best_saving:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 
@@ -30,6 +31,7 @@ from cborkit.dnswire import (
     TYPE_OPT,
     TYPE_SOA,
     TYPE_SRV,
+    TYPE_TXT,
     Truncated,
     a_rdata,
     decode_wire,
@@ -431,3 +433,62 @@ def test_rdata_layout_round_trip(case):
                      answers=[ResourceRecord(Name(), rtype, CLASS_IN, 1, rdata)])
     for compress in (True, False):
         assert decode_wire(encode_wire(msg, compress)) == msg
+
+
+def _pointer_targets(wire: bytes) -> list[int]:
+    """The target of every compression pointer in the question names, the
+    owner names and the names inside ``RDATA_LAYOUTS`` rdata."""
+    targets = []
+
+    def skip_name(pos):
+        while wire[pos]:
+            if wire[pos] >= 0xC0:
+                targets.append(struct.unpack(">H", wire[pos : pos + 2])[0] & 0x3FFF)
+                return pos + 2
+            pos += 1 + wire[pos]
+        return pos + 1
+
+    qd, an, ns, ar = struct.unpack(">HHHH", wire[4:12])
+    pos = 12
+    for _ in range(qd):
+        pos = skip_name(pos) + 4
+    for _ in range(an + ns + ar):
+        pos = skip_name(pos)
+        rtype, _, _, rdlen = struct.unpack(">HHIH", wire[pos : pos + 10])
+        pos += 10
+        if rtype in RDATA_LAYOUTS:
+            head, count, _ = RDATA_LAYOUTS[rtype]
+            at = pos + struct.calcsize(">" + head)
+            for _ in range(count):
+                at = skip_name(at)
+        pos += rdlen
+    return targets
+
+
+def test_no_pointer_past_the_14_bit_offset_limit():
+    # 65 TXT strings of 255 bytes push every later name past offset 0x3FFF,
+    # where a pointer cannot reach: those names are spelled out again, and
+    # only suffixes written before the limit are pointed at.
+    name = Name.from_text
+    txt = (b"\xff" + b"t" * 255) * 65
+    msg = DnsMessage(7, 0x8180, [Question(name("example.org"), TYPE_A, CLASS_IN)], answers=[
+        ResourceRecord(name("www.example.org"), TYPE_A, CLASS_IN, 60, a_rdata("192.0.2.1")),
+        ResourceRecord(name("example.org"), TYPE_TXT, CLASS_IN, 60, txt),
+        ResourceRecord(name("late.example.org"), TYPE_CNAME, CLASS_IN, 60,
+                       name_rdata("alias.late.example.org")),
+        ResourceRecord(name("late.example.org"), TYPE_MX, CLASS_IN, 60,
+                       mx_rdata(10, "mx.late.example.org")),
+        ResourceRecord(name("www.example.org"), TYPE_A, CLASS_IN, 60, a_rdata("192.0.2.2")),
+    ], authority=[
+        ResourceRecord(name("example.org"), TYPE_SOA, CLASS_IN, 60,
+                       soa_rdata("ns.late.example.org", "late.example.org", 1, 2, 3, 4, 5)),
+    ])
+    wire = encode_wire(msg)
+    assert wire.index(b"\x04late") > 0x3FFF
+    assert wire.count(b"\x04late") == 6  # one per name under late.example.org
+    targets = _pointer_targets(wire)
+    assert len(targets) == 10 and max(targets) <= 0x3FFF
+    assert decode_wire(wire) == msg
+    assert hashlib.sha256(wire).hexdigest() == (
+        "1e81f5946afb8e5ed84eb6c483e63e8c941ffc6dc99b5b160ac064741fb451e7"
+    )

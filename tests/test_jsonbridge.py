@@ -25,6 +25,9 @@ from cborkit.jsonbridge import (
     minify,
     parse_json,
 )
+from cborkit.taxonomy import classify
+
+FLOAT_MODES = (cbor.FLOAT_PRESERVE, cbor.FLOAT_FORCE_DOUBLE, cbor.FLOAT_SMALLEST)
 
 
 def test_parse_basics():
@@ -258,6 +261,35 @@ def test_bridge_round_trip_property(value):
     back = cbor_to_json(item, report)
     if report.lossless:
         assert minify(back) == minify(value)
+
+
+# Numbers whose CBOR width depends on the float mode: integers beyond 64
+# bits (floats, exact at 16 or 32 bits for some powers of two), fractions
+# and overflow to infinity.
+_wide_numbers = st.one_of(
+    st.tuples(st.integers(64, 1100), st.sampled_from((1, -1))).map(lambda t: str(t[1] * 2 ** t[0])),
+    st.integers(2**64, 2**90).map(str),
+    st.integers(-(2**90), -(2**64) - 1).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e400", "-1e400", "-0", "-0.0", "65504.0", "1.5", "0.1", "1e39"]),
+).map(JsonNumber)
+_float_documents = st.recursive(
+    st.none() | st.booleans() | _wide_numbers | _json_values,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(st.tuples(st.text(max_size=4), children), max_size=4).map(JsonObject),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_documents, st.sampled_from(FLOAT_MODES))
+def test_json_to_cbor_encodes_alike_under_its_float_mode(value, mode):
+    # json_to_cbor decides every float's width, so the float mode at encode
+    # time changes nothing and classify's size is the encoded size.
+    item = json_to_cbor(value, mode)
+    data = cbor.encode(item)
+    assert cbor.encode(item, cbor.EncodeOptions(float_mode=mode)) == data
+    assert classify(item, 1).encoded_size == len(data)
 
 
 def test_cbor_smaller_for_short_string_integer_json():

@@ -301,8 +301,6 @@ def test_classify_rejects_lone_surrogate():
 
 
 @settings(max_examples=300, deadline=None)
-@given(_trees, st.sampled_from([cbor.FLOAT_PRESERVE, cbor.FLOAT_FORCE_DOUBLE, cbor.FLOAT_SMALLEST]))
-def test_classify_size_is_item_size_under_the_float_mode(item, mode):
-    opts = cbor.EncodeOptions(float_mode=mode)
-    assert classify(item, 100, float_mode=mode).encoded_size == cbor.item_size(item, opts)
+@given(_trees)
+def test_classify_size_is_item_size(item):
     assert classify(item, 100).encoded_size == cbor.item_size(item)
