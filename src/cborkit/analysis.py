@@ -165,7 +165,8 @@ class ModeComparison:
     role: str
     question_elided: bool
     classic_size: int
-    sizes: dict[str, int]
+    sizes: dict[str, int]  # a skipped mode has no entry
+    skipped: Exception | None = None  # why modes are missing from ``sizes``
 
     def savings(self, mode: str) -> SavingsReport:
         return compute_savings(self.classic_size, self.sizes[mode])
@@ -206,9 +207,13 @@ def compare_modes(
     plain = dnscbor.encode_message(
         msg, CodecContext(role, request_question, allow_query_answers)
     )
-    refs = dnscbor.encode_message(
-        msg, CodecContext(role, request_question, allow_query_answers, mode=_REF_BASE)
-    )
+    refs = skipped = None
+    try:
+        refs = dnscbor.encode_message(
+            msg, CodecContext(role, request_question, allow_query_answers, mode=_REF_BASE)
+        )
+    except dnscbor.TypeMismatch as exc:  # a label that is not UTF-8 has no text component
+        skipped = exc
     packed = dnspacked.packed_sizes(plain.item, len(plain.data))
     sizes = {}
     for mode, (ref, pack_mode) in MODES.items():
@@ -216,11 +221,11 @@ def compare_modes(
             sizes[mode] = packed[pack_mode]
         elif ref is None:
             sizes[mode] = len(plain.data)
-        else:
+        elif refs is not None:
             # Component modes differ only in the width of each reference tag's head.
             extra = cbor.head_size(ref.tag) - cbor.head_size(_REF_BASE.tag)
             sizes[mode] = len(refs.data) + refs.references * extra
-    return ModeComparison(role, plain.question_elided, classic_size, sizes)
+    return ModeComparison(role, plain.question_elided, classic_size, sizes, skipped)
 
 
 class HexRecord(NamedTuple):
@@ -230,7 +235,7 @@ class HexRecord(NamedTuple):
 
 class LineError(NamedTuple):
     line_no: int
-    error: str
+    error: Exception  # ValueError for bad hex, else the DnsWireError
 
 
 def ingest_hex(lines: Iterable[str]) -> tuple[list[HexRecord], list[LineError]]:
@@ -242,14 +247,9 @@ def ingest_hex(lines: Iterable[str]) -> tuple[list[HexRecord], list[LineError]]:
         if not text:
             continue
         try:
-            wire = bytes.fromhex(text)
-        except ValueError as exc:
-            errors.append(LineError(line_no, "hex: %s" % exc))
-            continue
-        try:
-            msg = decode_wire(wire)
-        except DnsWireError as exc:
-            errors.append(LineError(line_no, "%s: %s" % (type(exc).__name__, exc)))
+            msg = decode_wire(bytes.fromhex(text))
+        except (ValueError, DnsWireError) as exc:
+            errors.append(LineError(line_no, exc))
             continue
         records.append(HexRecord(ROLE_RESPONSE if msg.is_response else ROLE_QUERY, msg))
     return records, errors
@@ -426,10 +426,11 @@ def write_csv(rows: Iterable[ModeComparison]) -> str:
     for row in rows:
         fields = [row.role, "1" if row.question_elided else "0", str(row.classic_size)]
         for mode in MODES:
-            report = row.savings(mode)
-            fields.extend(
-                (str(row.sizes[mode]), str(report.savings_b), "%.6f" % report.gain_g)
-            )
+            if mode in row.sizes:
+                report = row.savings(mode)
+                fields.extend((str(row.sizes[mode]), str(report.savings_b), "%.6f" % report.gain_g))
+            else:
+                fields.extend(("", "", ""))  # a skipped mode
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
 
@@ -439,11 +440,12 @@ SUFFIX_CSV_COLUMNS = (
 )
 
 
-def write_suffix_csv(stats_per_message: Iterable[MessagePairStats]) -> str:
+def write_suffix_csv(stats_per_message: Iterable[tuple[int, MessagePairStats]]) -> str:
+    """One row per pair, from (message index, stats) pairs."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SUFFIX_CSV_COLUMNS.split(","))
-    for index, stats in enumerate(stats_per_message):
+    for index, stats in stats_per_message:
         for pair in stats.name_pairs:
             writer.writerow(
                 [

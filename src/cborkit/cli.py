@@ -42,6 +42,46 @@ class CliError(Exception):
     pass
 
 
+def _failure(exc: Exception) -> str:
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _report_skip(label: str, failure: str) -> None:
+    print("%s skipped: %s" % (label, failure), file=sys.stderr)
+
+
+def _guarded(fn, arg) -> tuple[bool, object]:
+    # Text, not the exception, crosses back from a worker: not every exception unpickles.
+    try:
+        return True, fn(arg)
+    except Exception as exc:  # one bad input never ends the run
+        return False, _failure(exc)
+
+
+def _run_batch(fn, inputs: list, noun: str, labels: list[str] | None = None, parallel: int = 1) -> dict:
+    """Map ``fn`` over ``inputs`` in order, in ``parallel`` worker processes if
+    more than one; return {input index: result} for the inputs that did not
+    raise.  Each one that did is named on stderr (by its label, else by noun
+    and index) with its exception class, and a last line counts them."""
+    guarded = functools.partial(_guarded, fn)
+    if parallel > 1:
+        # About four chunks per worker: few IPC round trips, even load.
+        chunksize = max(1, len(inputs) // (4 * parallel))
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            outcomes = list(pool.map(guarded, inputs, chunksize=chunksize))
+    else:
+        outcomes = map(guarded, inputs)
+    results = {}
+    for index, (ok, value) in enumerate(outcomes):
+        if ok:
+            results[index] = value
+        else:
+            _report_skip(labels[index] if labels else "%s %d" % (noun, index), value)
+    if len(results) < len(inputs):
+        print("%d %s(s) skipped" % (len(inputs) - len(results), noun), file=sys.stderr)
+    return results
+
+
 def _read_bytes(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
@@ -174,55 +214,33 @@ def _cmd_json_blob(args) -> int:
     return 0
 
 
+_ANALYZE_COLUMNS = ["file", "minified_size", "cbor_size", "savings_b", "gain_g", "tier",
+                    "content_type", "redundancy", "structure"]
+
+
+def _analyze_one(float_mode: str, path: Path) -> list:
+    value = jsonbridge.parse_json(path.read_text(encoding="utf-8"))
+    # Converting first rejects a too-deep document before minify recurses into it.
+    item = jsonbridge.json_to_cbor(value, float_mode)
+    minified = len(jsonbridge.minify(value).encode("utf-8"))
+    record = taxonomy.classify(item, minified)
+    report = taxonomy.compute_savings(minified, record.encoded_size)
+    return [path.name, minified, record.encoded_size, report.savings_b, "%.6f" % report.gain_g,
+            record.tier, record.content_type, record.redundancy, record.structure]
+
+
 def _cmd_json_analyze(args) -> int:
     directory = Path(args.infile)
     if not directory.is_dir():
         raise CliError("%s is not a directory" % directory)
+    paths = sorted(directory.glob("*.json"))
+    analyze = functools.partial(_analyze_one, args.float_mode)
+    rows = _run_batch(analyze, paths, "file", [path.name for path in paths])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "file",
-            "minified_size",
-            "cbor_size",
-            "savings_b",
-            "gain_g",
-            "tier",
-            "content_type",
-            "redundancy",
-            "structure",
-        ]
-    )
-    failures = 0
-    for path in sorted(directory.glob("*.json")):
-        try:
-            value = jsonbridge.parse_json(path.read_text(encoding="utf-8"))
-            # Converting first rejects a too-deep document before minify
-            # recurses into it.
-            item = jsonbridge.json_to_cbor(value, args.float_mode)
-            minified = len(jsonbridge.minify(value).encode("utf-8"))
-            record = taxonomy.classify(item, minified)
-            report = taxonomy.compute_savings(minified, record.encoded_size)
-        except Exception as exc:  # one bad file never ends the run
-            print("skip %s: %s" % (path.name, exc), file=sys.stderr)
-            failures += 1
-            continue
-        writer.writerow(
-            [
-                path.name,
-                minified,
-                record.encoded_size,
-                report.savings_b,
-                "%.6f" % report.gain_g,
-                record.tier,
-                record.content_type,
-                record.redundancy,
-                record.structure,
-            ]
-        )
+    writer.writerow(_ANALYZE_COLUMNS)
+    writer.writerows(rows.values())
     _write_text(buffer.getvalue(), args.out)
-    if failures:
-        print("%d file(s) skipped" % failures, file=sys.stderr)
     return 0
 
 
@@ -261,53 +279,32 @@ def _load_corpus(path: str):
         return records
     records, errors = analysis.ingest_hex(data.decode("utf-8", errors="replace").splitlines())
     for error in errors:
-        print("line %d: %s" % (error.line_no, error.error), file=sys.stderr)
+        _report_skip("line %d" % error.line_no, _failure(error.error))
     return records
 
 
 def _compare_one(task):
-    msg, request, allow = task
-    try:
-        return analysis.compare_modes(msg, request, allow)
-    except Exception as exc:  # one bad message never ends the batch
-        return "%s: %s" % (type(exc).__name__, exc)
+    return analysis.compare_modes(*task)
 
 
 def _cmd_dns_compare(args) -> int:
     records = _load_corpus(args.infile)
     pairs = analysis.pair_queries_responses(records)
-    request_for = {id(response): query for query, response in pairs}
-    tasks = []
-    for record in records:
-        query = request_for.get(id(record))
-        tasks.append(
-            (record.message, query.message if query else None, args.query_answers)
-        )
-    if args.parallel > 1:
-        # About four chunks per worker: few IPC round trips, even load.
-        chunksize = max(1, len(tasks) // (4 * args.parallel))
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_compare_one, tasks, chunksize=chunksize))
-    else:
-        results = [_compare_one(task) for task in tasks]
-    rows = []
-    skipped = 0
-    for index, result in enumerate(results):
-        if isinstance(result, str):
-            print("message %d skipped: %s" % (index, result), file=sys.stderr)
-            skipped += 1
-        else:
-            rows.append(result)
-    _write_text(analysis.write_csv(rows), args.out)
-    if skipped:
-        print("%d message(s) skipped" % skipped, file=sys.stderr)
+    request_for = {id(response): query.message for query, response in pairs if query}
+    tasks = [(record.message, request_for.get(id(record)), args.query_answers) for record in records]
+    rows = _run_batch(_compare_one, tasks, "message", parallel=args.parallel)
+    for index, row in rows.items():
+        if row.skipped is not None:
+            modes = "/".join(mode for mode in analysis.MODES if mode not in row.sizes)
+            _report_skip("message %d %s" % (index, modes), _failure(row.skipped))
+    _write_text(analysis.write_csv(rows.values()), args.out)
     return 0
 
 
 def _cmd_dns_suffix_stats(args) -> int:
-    records = _load_corpus(args.infile)
-    stats = [analysis.message_pair_stats(record.message) for record in records]
-    _write_text(analysis.write_suffix_csv(stats), args.out)
+    messages = [record.message for record in _load_corpus(args.infile)]
+    stats = _run_batch(analysis.message_pair_stats, messages, "message")
+    _write_text(analysis.write_suffix_csv(stats.items()), args.out)
     return 0
 
 

@@ -74,7 +74,7 @@ class JsonNumber:
 
     @property
     def is_integer(self) -> bool:
-        return not any(c in self.lexeme for c in ".eE")
+        return "." not in self.lexeme and "e" not in self.lexeme and "E" not in self.lexeme
 
 
 @dataclass
@@ -208,25 +208,26 @@ def _to_cbor(
     # value bounds the keys too.
     if depth < 0:
         raise cbor.DepthExceeded("JSON nested deeper than %d" % cbor.DEFAULT_MAX_DEPTH)
+    if isinstance(value, str):
+        return Text(value)
+    if isinstance(value, JsonNumber):
+        return _number_to_cbor(value, float_mode, report)
+    if isinstance(value, list):
+        return Array([_to_cbor(c, float_mode, report, depth - 1) for c in value])
+    if isinstance(value, JsonObject):
+        seen: set[str] | None = None if report is None else set()
+        entries: list[tuple[CborItem, CborItem]] = []
+        for key, child in value.entries:
+            if seen is not None:
+                if key in seen:
+                    report.add("duplicate object key %r kept" % key)
+                seen.add(key)
+            entries.append((Text(key), _to_cbor(child, float_mode, report, depth - 1)))
+        return Map(entries)
     if value is None:
         return Null()
     if isinstance(value, bool):
         return Bool(value)
-    if isinstance(value, JsonNumber):
-        return _number_to_cbor(value, float_mode, report)
-    if isinstance(value, str):
-        return Text(value)
-    if isinstance(value, list):
-        return Array([_to_cbor(c, float_mode, report, depth - 1) for c in value])
-    if isinstance(value, JsonObject):
-        seen: set[str] = set()
-        entries: list[tuple[CborItem, CborItem]] = []
-        for key, child in value.entries:
-            if key in seen and report is not None:
-                report.add("duplicate object key %r kept" % key)
-            seen.add(key)
-            entries.append((Text(key), _to_cbor(child, float_mode, report, depth - 1)))
-        return Map(entries)
     raise JsonBridgeError("not a JSON value: %r" % (value,))
 
 

@@ -29,7 +29,7 @@ from cborkit.analysis import (
     write_suffix_csv,
 )
 from cborkit.dnscbor import CodecContext, ComponentRef, ROLE_QUERY, ROLE_RESPONSE
-from cborkit.dnscbor import decode_message, encode_message
+from cborkit.dnscbor import TypeMismatch, decode_message, encode_message
 from cborkit import dnspacked
 from cborkit.dnswire import (
     CLASS_IN,
@@ -131,6 +131,18 @@ def test_compare_modes_orderings():
     assert comparison.sizes["packedfull"] <= comparison.sizes["packedlite"]
     report = comparison.savings("compref10")
     assert report.savings_b == comparison.classic_size - comparison.sizes["compref10"]
+
+
+def test_compare_modes_skips_only_the_component_modes_of_a_label_that_is_not_utf8():
+    msg = DnsMessage(7, 0x0100, [Question(Name((b"\xff\xfe", b"example", b"org")), TYPE_A, CLASS_IN)])
+    comparison = compare_modes(msg)
+    ctx = CodecContext(ROLE_QUERY)
+    assert comparison.sizes == {
+        mode: len(encode_in_mode(msg, ctx, mode).data) for mode in ("unpacked", "packedlite", "packedfull")
+    }
+    assert isinstance(comparison.skipped, TypeMismatch)
+    assert write_csv([comparison]).splitlines()[1].split(",")[6:12] == [""] * 6
+    assert compare_modes(cname_referral_response()).skipped is None
 
 
 def test_compare_modes_question_elision_via_request():
@@ -241,7 +253,7 @@ def test_write_csv_formatting():
 
 
 def test_suffix_csv():
-    text = write_suffix_csv([message_pair_stats(cname_referral_response())])
+    text = write_suffix_csv(enumerate([message_pair_stats(cname_referral_response())]))
     lines = text.strip().split("\n")
     assert lines[0].startswith("message,kind,a,b,")
     assert len(lines) == 7
@@ -355,7 +367,7 @@ def test_suffix_csv_quotes_labels_with_commas():
             ResourceRecord(Name.from_text('x"y.com'), TYPE_A, CLASS_IN, 60, bytes([1, 2, 3, 4])),
         ],
     )
-    rows = list(csv.reader(write_suffix_csv([message_pair_stats(msg)]).splitlines()))
+    rows = list(csv.reader(write_suffix_csv(enumerate([message_pair_stats(msg)])).splitlines()))
     assert len(rows) == 1 + 3 + 1  # header, three name pairs, one address pair
     assert all(len(row) == 9 for row in rows)
     assert rows[1][2:4] == ["a,b.com", "a,b.com"]

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import build_pcap, build_udp_frame, random_message
 from cborkit import analysis, cbor
 from cborkit.cli import FLOAT_MODES, run
+from cborkit.dnscbor import CodecContext, ROLE_QUERY
 from cborkit.jsonbridge import JsonNumber, JsonObject, json_to_cbor, minify, parse_json
 from cborkit.dnswire import (
     CLASS_IN,
@@ -243,14 +247,17 @@ def test_dns_compare_parallel_chunks_keep_row_order(tmp_path, capsys):
     lines.insert(25, encode_wire(two_questions).hex())  # skipped: one question required
     corpus = tmp_path / "corpus.hex"
     corpus.write_text("\n".join(lines) + "\n")
-    outputs = []
+    outputs, errors = [], []
     for workers in ("1", "2"):
         out = tmp_path / ("w%s.csv" % workers)
         assert run(["dns", "compare", "--in", str(corpus), "--out", str(out),
                     "--parallel", workers]) == 0
-        assert "message 25 skipped" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "message 25 skipped" in err
+        errors.append(err)
         outputs.append(out.read_text())
     assert outputs[0] == outputs[1]
+    assert errors[0] == errors[1]
     assert len(outputs[0].splitlines()) == 1 + 60
 
 
@@ -294,8 +301,79 @@ def test_dns_compare_skips_a_message_raising_any_exception(tmp_path, capsys, mon
     assert out == rows[:4] + rows[5:]
 
 
+def test_dns_compare_skips_the_component_modes_of_a_label_that_is_not_utf8(tmp_path, capsys):
+    rng = random.Random(13)
+    wires = [encode_wire(random_message(rng)) for _ in range(4)]
+    # RFC 1035 allows any octets in a label; component mode needs UTF-8 text.
+    odd = DnsMessage(7, 0x0100, [Question(Name((b"\xff\xfe", b"example", b"org")), TYPE_A, CLASS_IN)])
+    good = tmp_path / "good.hex"
+    good.write_text("".join(wire.hex() + "\n" for wire in wires))
+    assert run(["dns", "compare", "--in", str(good), "--out", str(tmp_path / "good.csv")]) == 0
+    good_rows = (tmp_path / "good.csv").read_text().splitlines()
+    capsys.readouterr()
+    corpus = tmp_path / "corpus.hex"
+    corpus.write_text("".join(wire.hex() + "\n" for wire in wires[:2] + [encode_wire(odd)] + wires[2:]))
+    ctx = CodecContext(ROLE_QUERY)
+    want = {mode: str(len(analysis.encode_in_mode(odd, ctx, mode).data))
+            for mode in ("unpacked", "packedlite", "packedfull")}
+    for workers in ("1", "2"):
+        out = tmp_path / ("w%s.csv" % workers)
+        assert run(["dns", "compare", "--in", str(corpus), "--out", str(out),
+                    "--parallel", workers]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[:3] + rows[4:] == good_rows
+        row = dict(zip(analysis.CSV_COLUMNS, rows[3].split(",")))
+        assert row["classic_size"] == str(len(encode_wire(odd)))
+        assert {mode: row[mode + "_size"] for mode in want} == want
+        assert [row["%s_%s" % (mode, col)] for mode in ("compref10", "compref11")
+                for col in ("size", "b", "g")] == [""] * 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("message 2 compref10/compref11 skipped: TypeMismatch: ")
+
+
+def test_dns_compare_names_bad_hex_lines_in_the_skip_form(tmp_path, capsys):
+    corpus = tmp_path / "corpus.hex"
+    corpus.write_text(encode_wire(cname_referral_response()).hex() + "\nzz\n0c\n")
+    out = tmp_path / "report.csv"
+    assert run(["dns", "compare", "--in", str(corpus), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[:2] for line in err] == [
+        ["line 2 skipped", "ValueError"], ["line 3 skipped", "Truncated"],
+    ]
+
+
+def test_dns_suffix_stats_skips_a_message_and_keeps_the_indices(tmp_path, capsys, monkeypatch):
+    messages = [cname_referral_response() for _ in range(4)]
+    for index, msg in enumerate(messages):
+        msg.id = index
+    corpus = tmp_path / "corpus.hex"
+    corpus.write_text("".join(encode_wire(msg).hex() + "\n" for msg in messages))
+    full = tmp_path / "full.csv"
+    assert run(["dns", "suffix-stats", "--in", str(corpus), "--out", str(full)]) == 0
+    message_pair_stats = analysis.message_pair_stats
+
+    def failing_on_the_third(msg):
+        if msg.id == 2:
+            raise KeyError("labels")
+        return message_pair_stats(msg)
+
+    monkeypatch.setattr(analysis, "message_pair_stats", failing_on_the_third)
+    out = tmp_path / "report.csv"
+    assert run(["dns", "suffix-stats", "--in", str(corpus), "--out", str(out)]) == 0
+    rows = full.read_text().splitlines()
+    assert sum(row.startswith("2,") for row in rows) == 6
+    assert out.read_text().splitlines() == [row for row in rows if not row.startswith("2,")]
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["message 2 skipped: KeyError: 'labels'", "1 message(s) skipped"]
+
+
 @pytest.mark.parametrize("depth", [200, 600, 1500, 100_000])
 def test_json_analyze_skips_too_deep_file(tmp_path, capsys, depth):
+    # Past Python's recursion limit (about 1000 levels) the parser gives up first.
+    error = {200: "DepthExceeded", 600: "DepthExceeded", 1500: "(DepthExceeded|JsonSyntaxError)",
+             100_000: "JsonSyntaxError"}[depth]
     (tmp_path / "flat.json").write_text("[1]")
     (tmp_path / "deep.json").write_text("[" * depth + "]" * depth)
     out = tmp_path / "report.csv"
@@ -303,7 +381,8 @@ def test_json_analyze_skips_too_deep_file(tmp_path, capsys, depth):
     rows = out.read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("flat.json,")
     err = capsys.readouterr().err
-    assert "skip deep.json" in err and "1 file(s) skipped" in err
+    assert re.search(r"^deep\.json skipped: %s: " % error, err, re.M)
+    assert "1 file(s) skipped" in err
 
 
 def test_parser_is_reused_across_runs(tmp_path, capsys):
@@ -331,7 +410,8 @@ def test_json_analyze_skips_a_lone_surrogate(tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["a.json", "d.json"]
     err = capsys.readouterr().err
-    assert "skip b.json: " in err and "skip c.json: " in err and "2 file(s) skipped" in err
+    assert "b.json skipped: UnicodeEncodeError: " in err
+    assert "c.json skipped: UnicodeEncodeError: " in err and "2 file(s) skipped" in err
 
 
 def test_json_minify_lone_surrogate_is_exit_1(tmp_path, capsys):
@@ -378,3 +458,48 @@ def test_json_analyze_cbor_size_is_the_encoded_size(value):
             row = out.read_text().splitlines()[1].split(",")
             item = json_to_cbor(value, mode)
             assert int(row[2]) == cbor.item_size(item, cbor.EncodeOptions(float_mode=mode))
+
+
+
+# Bad JSON files, each with the exception class it is skipped with.
+_bad_files = {
+    "deep": ("[" * 200 + "]" * 200, "DepthExceeded"),
+    "surrogate": ('["\\ud800"]', "UnicodeEncodeError"),
+    "syntax": ("{nope", "JsonSyntaxError"),
+}
+
+
+def _analyze_rows_and_stderr(directory: Path) -> tuple[list[str], str]:
+    out = directory.with_suffix(".csv")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run(["json", "analyze", "--in", str(directory), "--out", str(out)]) == 0
+    return out.read_text().splitlines(), err.getvalue()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.one_of(_documents.map(lambda value: (minify(value), None)),
+                          st.sampled_from(sorted(_bad_files.values()))), max_size=6))
+def test_json_analyze_skips_each_bad_file_once(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        mixed, alone = Path(tmp, "mixed"), Path(tmp, "alone")
+        mixed.mkdir()
+        alone.mkdir()
+        bad = {}
+        for index, (text, error) in enumerate(files):
+            name = "%02d.json" % index
+            (mixed / name).write_text(text, encoding="utf-8")
+            if error is None:
+                (alone / name).write_text(text, encoding="utf-8")
+            else:
+                bad[name] = error
+        rows, err = _analyze_rows_and_stderr(mixed)
+        good_rows, good_err = _analyze_rows_and_stderr(alone)
+    assert good_err == ""
+    assert rows == good_rows
+    skip_lines = [line for line in err.splitlines() if " skipped: " in line]
+    assert len(rows) - 1 + len(skip_lines) == len(files)
+    for name, error in bad.items():
+        assert sum(line.startswith(name + " skipped: ") for line in skip_lines) == 1
+        assert "%s skipped: %s: " % (name, error) in err
+    summary = [line for line in err.splitlines() if " skipped: " not in line]
+    assert summary == (["%d file(s) skipped" % len(bad)] if bad else [])

@@ -45,6 +45,18 @@ def test_parse_duplicate_keys_preserved():
     assert [k for k, _ in value.entries] == ["a", "a"]
 
 
+def test_duplicate_keys_are_flagged_in_document_order():
+    value = parse_json('{"a":1,"b":{"c":1e400,"c":2},"a":%d,"a":3}' % 2**64)
+    report = ConversionReport()
+    assert json_to_cbor(value, report=report) == json_to_cbor(value)
+    assert report.flags == [
+        "duplicate object key 'c' kept",
+        "duplicate object key 'a' kept",
+        "integer 18446744073709551616 outside 64-bit range became a float",
+        "duplicate object key 'a' kept",
+    ]
+
+
 @pytest.mark.parametrize(
     "text",
     ['{"a":NaN}', '{"a":Infinity}', "{'a':1}", "[1,]", '{"a":1} trailing', "", "01"],
