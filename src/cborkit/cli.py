@@ -222,7 +222,7 @@ def _analyze_one(float_mode: str, path: Path) -> list:
     value = jsonbridge.parse_json(path.read_text(encoding="utf-8"))
     # Converting first rejects a too-deep document before minify recurses into it.
     item = jsonbridge.json_to_cbor(value, float_mode)
-    minified = len(jsonbridge.minify(value).encode("utf-8"))
+    minified = len(cbor.utf8(jsonbridge.minify(value)))
     record = taxonomy.classify(item, minified)
     report = taxonomy.compute_savings(minified, record.encoded_size)
     return [path.name, minified, record.encoded_size, report.savings_b, "%.6f" % report.gain_g,

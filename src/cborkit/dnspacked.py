@@ -1,22 +1,33 @@
 """Packed envelope: a prepended table of shared values referenced from the rump.
 
-``pack`` runs three steps.  ``_candidates`` enumerates candidates over
-the item tree and prices each one: exact duplicate scalars (full mode),
-text suffixes at dot boundaries shared by two or more strings (both
-modes), and byte-string prefixes of three or more bytes shared by two or
-more strings (full mode; the longest common prefixes of neighbours in
-sorted order).  ``_select`` admits a candidate while its net saving stays
-positive,
+The packer works on originals, not tree positions: an original is a
+distinct string or wide integer (two encoded bytes or more), keyed by
+type and value, and its group is every position holding a copy.  Every
+candidate that holds one copy holds all (a suffix every text ending in
+it, a whole value every equal value, a prefix every byte string starting
+with it), so one admission rewrites a whole group, and each group is
+priced and counted once, weighted by its copies.
+
+``pack`` runs three steps.  ``_candidates`` groups the originals in one
+preorder walk and prices each candidate with two or more occurrences:
+exact duplicate scalars (full mode), text suffixes at dot boundaries
+(both modes; each distinct text split once), and byte-string prefixes of
+three or more bytes (full mode; the longest common prefixes of
+neighbours in sorted order).  ``_select`` admits a candidate while its
+net saving stays positive,
 
     saving = sum over unrewritten occurrences (occurrence size - reference size)
              - table entry size,
 
 largest saving first, ties broken by first occurrence in preorder; a
-rewritten string never gets rewritten again.  ``_rebuild`` substitutes
-the references: whole values become ``Simple(i)`` (or tag 6 above index
-15), suffixes ``tag 216 [head, i]``, prefixes ``tag 217 [i, tail]``.  The
-envelope ``tag 113 [table, rump]`` is emitted even when the table is
-empty, so the no-redundancy penalty is exactly the four envelope bytes.
+rewritten string never gets rewritten again.  ``_rebuild`` puts the
+references at the rewritten groups' positions: whole values become
+``Simple(i)`` (or tag 6 above index 15), suffixes ``tag 216 [head, i]``,
+prefixes ``tag 217 [i, tail]``.  The envelope ``tag 113 [table, rump]``
+is emitted even when the table is empty, so the no-redundancy penalty is
+exactly the four envelope bytes.  Only entries and the texts a suffix
+candidate holds are measured in UTF-8, so an unheld text may lack a
+UTF-8 form.
 
 ``packed_sizes`` gives the size of both envelopes without building
 either.  Lite mode's candidates are exactly full mode's suffix
@@ -27,24 +38,19 @@ and in three heads:
     size = plain size + head(113) + head(2) + head(table length)
            - sum of the savings at admission.
 
-Selection is lazy (Minoux's accelerated greedy) and sizes come from
-arithmetic on head sizes, not from building references.  An occurrence's
-term in the saving is its gain (its size less the index-free part of its
-reference, computed once) less the bytes of the index, which never
-shrink as the table grows.  So a saving only falls as the index grows,
-and as occurrences with a non-negative term are rewritten by other
+Selection is lazy (Minoux's accelerated greedy) on head-size arithmetic.
+An occurrence's term in the saving is its gain (its size less the
+index-free part of its reference) less the bytes of the index, which
+never shrink as the table grows.  So a saving only falls as the index
+grows, and as groups with a non-negative term are rewritten by other
 entries.  Candidates sit in a max-heap keyed on (-saving, candidate
 order) whose keys are upper bounds: the top is recomputed, admitted if
-its saving is unchanged, and pushed back otherwise.  The one way a
-saving can rise is the rewrite of an occurrence whose term is negative;
-the candidates holding it are then pushed again with a fresh key.  (The
-gains of one candidate differ only by head-width steps, so that needs
-strings near 64 KiB.)  This picks the same entries, in the same order,
-as rescanning every candidate on every admission.
-
-Lite mode keeps only the text-suffix candidates, so its table is all
-text strings.  The tag and simple-value numbers are fixed numbers, not
-IANA assignments.
+its saving is unchanged, and pushed back otherwise.  A saving rises only
+when a group with a negative term is rewritten (gains of one candidate
+differ only by head-width steps, so that needs strings near 64 KiB); the
+candidates holding it are then pushed again with a fresh key.  This
+picks the same entries, in the same order, as rescanning every candidate
+on every admission.  Tag and simple-value numbers are fixed, not IANA's.
 """
 
 from __future__ import annotations
@@ -123,32 +129,51 @@ class PackedEnvelope:
         return cls.from_item(item)
 
 
-def _walk(item: CborItem, positions: list[CborItem]) -> None:
-    """Preorder enumeration; a node's position is its list index.  Input
-    that already holds a packing reference is rejected on the way."""
-    positions.append(item)
-    if isinstance(item, Array):
-        for child in item.items:
-            _walk(child, positions)
-    elif isinstance(item, Map):
-        for key, value in item.entries:
-            _walk(key, positions)
-            _walk(value, positions)
-    elif isinstance(item, Tag):
-        if item.number in _REFERENCE_TAGS:
-            raise AlreadyPacked("input holds reference tag %d" % item.number)
-        _walk(item.content, positions)
-    elif isinstance(item, Simple) and item.value < SIMPLE_REF_LIMIT:
-        raise AlreadyPacked("input holds reference simple value %d" % item.value)
+class _Group:
+    """One original and the positions of its copies."""
+
+    __slots__ = ("item", "positions", "length")
+
+    def __init__(self, item: CborItem, pos: int):
+        self.item = item
+        self.positions = [pos]
+        self.length = -1  # payload bytes, taken when a string candidate prices it
 
 
-def _dot_suffixes(text: str) -> list[tuple[str, str]]:
-    """(head, suffix) splits at component boundaries, whole string included."""
-    splits = [("", text)]
-    for i, ch in enumerate(text):
-        if ch == "." and i + 1 < len(text):
-            splits.append((text[: i + 1], text[i + 1 :]))
-    return splits
+def _collect(nodes, pos: int, groups: dict[object, _Group]) -> int:
+    """Preorder walk of ``nodes``, the first at position ``pos + 1``, into
+    ``groups`` keyed by value (negative for Nint); returns the last position."""
+    for node in nodes:
+        pos += 1
+        kind = type(node)
+        # Scalars whose encoding is 2 bytes or more: a non-empty string, or
+        # an integer whose argument does not fit the initial byte.
+        if kind is Text or kind is Bytes:
+            key = node.data
+            if not key:
+                continue
+        elif kind is Uint or kind is Nint:
+            key = node.value
+            if -25 < key < 24:
+                continue
+        else:
+            if kind is Array:
+                pos = _collect(node.items, pos, groups)
+            elif kind is Map:
+                pos = _collect([part for entry in node.entries for part in entry], pos, groups)
+            elif kind is Tag:
+                if node.number in _REFERENCE_TAGS:
+                    raise AlreadyPacked("input holds reference tag %d" % node.number)
+                pos = _collect((node.content,), pos, groups)
+            elif kind is Simple and node.value < SIMPLE_REF_LIMIT:
+                raise AlreadyPacked("input holds reference simple value %d" % node.value)
+            continue
+        group = groups.get(key)
+        if group is None:
+            groups[key] = _Group(node, pos)
+        else:
+            group.positions.append(pos)
+    return pos
 
 
 def _payload_len(string: CborItem) -> int:
@@ -158,16 +183,13 @@ def _payload_len(string: CborItem) -> int:
 
 
 class _Candidate:
-    __slots__ = (
-        "kind", "entry", "occurrences", "first", "admitted",
-        "entry_size", "gains", "gain_sum", "live",
-    )
+    __slots__ = ("kind", "entry", "groups", "admitted", "entry_size", "gains",
+                 "total_gain", "total_live", "gain_sum", "live")
 
-    def __init__(self, kind: str, entry: CborItem, occurrences: dict[int, CborItem]):
+    def __init__(self, kind: str, entry: CborItem, groups: list[_Group]):
         self.kind = kind  # "value" | "suffix" | "prefix"
         self.entry = entry
-        self.occurrences = occurrences  # position -> original item there
-        self.first = min(occurrences)
+        self.groups = groups
 
     def order_key(self) -> tuple:
         # Earliest occurrence, then kind, then the entry's encoding.  Within
@@ -177,36 +199,38 @@ class _Candidate:
         data = getattr(self.entry, "data", b"")
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
-        return (self.first, self.kind, len(data), data)
+        return (min(group.positions[0] for group in self.groups), self.kind, len(data), data)
 
     def price(self) -> None:
-        """Per occurrence, the bytes a reference saves before its index
-        is paid for: the original's size less the rest of the reference."""
+        """Per group, the bytes a reference to one copy saves before paying
+        for its index, and the totals over every copy."""
         self.entry_size = cbor.item_size(self.entry)
         if self.kind == "value":
-            self.gains = dict.fromkeys(self.occurrences, self.entry_size)
+            self.gains = [self.entry_size]
+            self.total_live = len(self.groups[0].positions)
+            self.total_gain = self.entry_size * self.total_live
         else:
             # tag [head, index] or tag [index, tail]: the tag's head, the
             # array's head and the unshared rest of the string.  So the
             # reference drops the shared bytes and narrows the string's head.
-            tag = SUFFIX_TAG if self.kind == "suffix" else PREFIX_TAG
-            fixed = cbor.head_size(tag) + 1
+            fixed = cbor.head_size(SUFFIX_TAG if self.kind == "suffix" else PREFIX_TAG) + 1
             shared = _payload_len(self.entry)
-            self.gains = {}
-            for pos, original in self.occurrences.items():
-                n = _payload_len(original)
-                narrowed = cbor.head_size(n) - cbor.head_size(n - shared)
-                self.gains[pos] = shared + narrowed - fixed
+            self.gains = []
+            total = live = 0
+            for group in self.groups:
+                n = group.length
+                if n < 0:
+                    n = group.length = _payload_len(group.item)
+                gain = shared + cbor.head_size(n) - cbor.head_size(n - shared) - fixed
+                self.gains.append(gain)
+                count = len(group.positions)
+                total += gain * count
+                live += count
+            self.total_gain, self.total_live = total, live
 
-    def reset(self) -> None:
-        """Start a selection run: nothing admitted, nothing rewritten."""
-        self.admitted = False
-        self.gain_sum = sum(self.gains.values())
-        self.live = len(self.gains)
-
-    def saving(self, index: int) -> int:
-        """Net saving of admitting this entry at ``index`` now."""
-        return self.gain_sum - self.live * _ref_index_size(self.kind, index) - self.entry_size
+    def saving(self, index_bytes: dict[str, int]) -> int:
+        """Net saving of admitting this entry, given ``_index_bytes`` of its index."""
+        return self.gain_sum - self.live * index_bytes[self.kind] - self.entry_size
 
 
 def _ref_index_size(kind: str, index: int) -> int:
@@ -218,72 +242,61 @@ def _ref_index_size(kind: str, index: int) -> int:
     return cbor.head_size(VALUE_TAG) + cbor.head_size(index - SIMPLE_REF_LIMIT)
 
 
-def _value_ref(index: int) -> CborItem:
-    if index < SIMPLE_REF_LIMIT:
-        return Simple(index)
-    return Tag(VALUE_TAG, Uint(index - SIMPLE_REF_LIMIT))
+# _ref_index_size by kind for the first 256 table indices.
+_INDEX_BYTES = [{k: _ref_index_size(k, i) for k in ("value", "suffix", "prefix")} for i in range(256)]
+
+
+def _index_bytes(index: int) -> dict[str, int]:
+    if index < len(_INDEX_BYTES):
+        return _INDEX_BYTES[index]
+    return {kind: _ref_index_size(kind, index) for kind in _INDEX_BYTES[0]}
 
 
 def _common_prefix_len(a: bytes, b: bytes) -> int:
-    n = 0
-    for x, y in zip(a, b):
+    for n, (x, y) in enumerate(zip(a, b)):
         if x != y:
-            break
-        n += 1
-    return n
+            return n
+    return min(len(a), len(b))
 
 
 def _candidates(item: CborItem, mode: str) -> list[_Candidate]:
-    positions: list[CborItem] = []
-    _walk(item, positions)
+    groups: dict[object, _Group] = {}
+    _collect((item,), -1, groups)
     out: list[_Candidate] = []
     if mode == PACKED_FULL:
-        values: dict[CborItem, dict[int, CborItem]] = {}
-        for pos, node in enumerate(positions):
-            # Scalars whose encoding is 2 bytes or more: a non-empty string,
-            # or an integer whose argument does not fit the initial byte.
-            if (
-                isinstance(node, (Text, Bytes)) and node.data
-                or isinstance(node, Uint) and node.value >= 24
-                or isinstance(node, Nint) and node.n >= 24
-            ):
-                values.setdefault(node, {})[pos] = node
-        for node, occs in values.items():
-            if len(occs) >= 2:
-                out.append(_Candidate("value", node, occs))
-    suffixes: dict[str, dict[int, CborItem]] = {}
-    for pos, node in enumerate(positions):
-        if isinstance(node, Text) and node.data:
-            for _, suffix in _dot_suffixes(node.data):
-                suffixes.setdefault(suffix, {})[pos] = node
-    for suffix, occs in suffixes.items():
-        if len(occs) >= 2:
-            out.append(_Candidate("suffix", Text(suffix), occs))
+        out += [_Candidate("value", g.item, [g]) for g in groups.values() if len(g.positions) >= 2]
+    suffixes: dict[str, list[_Group]] = {}  # each distinct text split once
+    for group in groups.values():
+        if type(group.item) is Text:
+            text = group.item.data
+            start = 0
+            while start < len(text):  # the whole text, then after each dot
+                suffixes.setdefault(text[start:], []).append(group)
+                start = text.find(".", start) + 1 or len(text)
+    for suffix, holding in suffixes.items():
+        if len(holding) >= 2 or len(holding[0].positions) >= 2:
+            out.append(_Candidate("suffix", Text(suffix), holding))
     if mode == PACKED_FULL:
         # In sorted order the longest common prefix of any two strings is
-        # the shortest of the neighbour prefixes between them, and that
-        # neighbour pair shares exactly it; so the neighbour prefixes are
-        # all the pairwise ones, and the strings that start with one of
-        # them form a run that begins where the prefix itself would sort.
-        strings = sorted(
-            (node.data, pos)
-            for pos, node in enumerate(positions)
-            if isinstance(node, Bytes) and len(node.data) >= MIN_PREFIX_LEN
-        )
+        # the shortest of the neighbour prefixes between them, and that pair
+        # shares exactly it (a string held twice is its own neighbour); so
+        # these are all the pairwise prefixes, and the strings that start
+        # with one form a run that begins where the prefix would sort.
+        strings = sorted((g.item.data, g) for g in groups.values()
+                         if type(g.item) is Bytes and len(g.item.data) >= MIN_PREFIX_LEN)
         datas = [data for data, _ in strings]
-        prefixes: set[bytes] = set()
+        prefixes = {data for data, group in strings if len(group.positions) >= 2}
         for a, b in zip(datas, datas[1:]):
             n = _common_prefix_len(a, b)
             if n >= MIN_PREFIX_LEN:
                 prefixes.add(a[:n])
         for prefix in prefixes:
-            occs: dict[int, CborItem] = {}
+            holding = []
             for k in range(bisect_left(datas, prefix), len(datas)):
                 if not datas[k].startswith(prefix):
                     break
-                pos = strings[k][1]
-                occs[pos] = positions[pos]
-            out.append(_Candidate("prefix", Bytes(prefix), occs))
+                holding.append(strings[k][1])
+            out.append(_Candidate("prefix", Bytes(prefix), holding))
     # Deterministic ordering independent of hash seeds.
     out.sort(key=_Candidate.order_key)
     for cand in out:
@@ -293,7 +306,9 @@ def _candidates(item: CborItem, mode: str) -> list[_Candidate]:
 
 def _reference_item(cand: _Candidate, original: CborItem, index: int) -> CborItem:
     if cand.kind == "value":
-        return _value_ref(index)
+        if index < SIMPLE_REF_LIMIT:
+            return Simple(index)
+        return Tag(VALUE_TAG, Uint(index - SIMPLE_REF_LIMIT))
     if cand.kind == "suffix":
         head = original.data[: len(original.data) - len(cand.entry.data)]  # type: ignore[union-attr]
         return Tag(SUFFIX_TAG, Array([Text(head), Uint(index)]))
@@ -307,54 +322,54 @@ class _Admission(NamedTuple):
     saving: int  # net saving at admission
 
 
-def _select(candidates: list[_Candidate]) -> tuple[list[_Admission], dict[int, _Admission]]:
+def _select(candidates: list[_Candidate]) -> tuple[list[_Admission], dict[_Group, _Admission]]:
     """The lazy greedy over priced candidates: the admissions in table
-    order, and for each rewritten position the admission that rewrites
-    it (the first admitted that holds it)."""
-    holders: dict[int, list[int]] = {}  # position -> candidates holding it
+    order, and for each rewritten group the admission that rewrites it
+    (the first admitted that holds it)."""
+    holders: dict[_Group, list[tuple[int, int]]] = {}  # group -> (candidate, gain)
     for order, cand in enumerate(candidates):
-        cand.reset()
-        for pos in cand.occurrences:
-            holders.setdefault(pos, []).append(order)
+        cand.admitted, cand.gain_sum, cand.live = False, cand.total_gain, cand.total_live
+        for group, gain in zip(cand.groups, cand.gains):
+            holders.setdefault(group, []).append((order, gain))
     # Each live candidate keeps a heap entry whose key is no lower than
     # its saving (see the module docstring), so a top whose recomputed
     # saving still equals its key beats every other candidate, ties going
     # to the earlier one.
-    heap = [(-cand.saving(0), order) for order, cand in enumerate(candidates)]
+    index_bytes = _index_bytes(0)
+    heap = [(-cand.saving(index_bytes), order) for order, cand in enumerate(candidates)]
     heapq.heapify(heap)
     admissions: list[_Admission] = []
-    rewrites: dict[int, _Admission] = {}
+    rewrites: dict[_Group, _Admission] = {}
     while heap and heap[0][0] < 0:
         key, order = heap[0]
         cand = candidates[order]
         if cand.admitted:
             heapq.heappop(heap)
             continue
-        index = len(admissions)
-        saving = cand.saving(index)
+        saving = cand.saving(index_bytes)
         if saving != -key:
             heapq.heapreplace(heap, (-saving, order))
             continue
         heapq.heappop(heap)
         cand.admitted = True
-        admission = _Admission(cand, index, saving)
+        admission = _Admission(cand, len(admissions), saving)
         admissions.append(admission)
-        next_index = index + 1
+        index_bytes = _index_bytes(len(admissions))
         risen: set[int] = set()
-        for pos in cand.occurrences:
-            if pos in rewrites:
+        for group in cand.groups:
+            if group in rewrites:
                 continue
-            rewrites[pos] = admission
-            for other in holders[pos]:
+            rewrites[group] = admission
+            count = len(group.positions)
+            for other, gain in holders[group]:
                 holder = candidates[other]
-                gain = holder.gains[pos]
-                holder.gain_sum -= gain
-                holder.live -= 1
-                if gain < _ref_index_size(holder.kind, next_index):
+                holder.gain_sum -= gain * count
+                holder.live -= count
+                if gain < index_bytes[holder.kind]:
                     risen.add(other)
         for other in risen:
             if not candidates[other].admitted:
-                heapq.heappush(heap, (-candidates[other].saving(next_index), other))
+                heapq.heappush(heap, (-candidates[other].saving(index_bytes), other))
     return admissions, rewrites
 
 
@@ -363,7 +378,8 @@ def pack(item: CborItem, mode: str = PACKED_FULL) -> PackedEnvelope:
         raise DnsPackedError("unknown packing mode %r" % mode)
     admissions, rewrites = _select(_candidates(item, mode))
     table = [admission.cand.entry for admission in admissions]
-    return PackedEnvelope(table, _rebuild(item, rewrites, [0]))
+    at = {pos: admission for group, admission in rewrites.items() for pos in group.positions}
+    return PackedEnvelope(table, _rebuild(item, at, [0]))
 
 
 # tag 113 [table, rump]: the tag's head and the two-element array's head.

@@ -410,8 +410,8 @@ def test_json_analyze_skips_a_lone_surrogate(tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["a.json", "d.json"]
     err = capsys.readouterr().err
-    assert "b.json skipped: UnicodeEncodeError: " in err
-    assert "c.json skipped: UnicodeEncodeError: " in err and "2 file(s) skipped" in err
+    assert "b.json skipped: InvalidUtf8: " in err
+    assert "c.json skipped: InvalidUtf8: " in err and "2 file(s) skipped" in err
 
 
 def test_json_minify_lone_surrogate_is_exit_1(tmp_path, capsys):
@@ -464,7 +464,7 @@ def test_json_analyze_cbor_size_is_the_encoded_size(value):
 # Bad JSON files, each with the exception class it is skipped with.
 _bad_files = {
     "deep": ("[" * 200 + "]" * 200, "DepthExceeded"),
-    "surrogate": ('["\\ud800"]', "UnicodeEncodeError"),
+    "surrogate": ('["\\ud800"]', "InvalidUtf8"),
     "syntax": ("{nope", "JsonSyntaxError"),
 }
 

@@ -195,6 +195,20 @@ def test_already_packed_rejected():
     assert pack(Array([Simple(16), Simple(17)])).rump == Array([Simple(16), Simple(17)])
 
 
+def test_only_texts_a_candidate_holds_are_measured_in_utf8():
+    # "\ud800" has no UTF-8 form, but no candidate holds it, so it stays
+    # in the rump as it is; once a shared suffix holds it, pricing it raises.
+    item = Array([Text("\ud800"), Text("a.example"), Text("b.example")])
+    for mode in (PACKED_FULL, PACKED_LITE):
+        env = pack(item, mode)
+        assert env.rump.items[0] == Text("\ud800")
+        assert unpack(env) == item
+        with pytest.raises(cbor.InvalidUtf8):
+            pack(Array([Text("\ud800.example"), Text("a.example")]), mode)
+        with pytest.raises(cbor.InvalidUtf8):
+            pack(Array([Text("\ud800"), Text("\ud800")]), mode)
+
+
 def test_unpack_errors():
     with pytest.raises(IndexOutOfRange):
         unpack(PackedEnvelope([], Simple(0)))
@@ -235,9 +249,8 @@ def test_unpack_goldens():
 def _oracle_pack(item, mode):
     """The earlier packer: every admission rescans every candidate and
     sizes every reference by building it; byte prefixes come from every
-    pair of strings."""
-    positions = []
-    dnspacked._walk(item, positions)
+    pair of strings.  It shares no code with the packer but the constants."""
+    positions = list(_flatten(item))  # preorder
     cands = []  # (kind, entry, {position: original})
     if mode == PACKED_FULL:
         values = {}
@@ -248,8 +261,11 @@ def _oracle_pack(item, mode):
     suffixes = {}
     for pos, node in enumerate(positions):
         if isinstance(node, Text) and node.data:
-            for _, suffix in dnspacked._dot_suffixes(node.data):
-                suffixes.setdefault(suffix, {})[pos] = node
+            labels = node.data.split(".")
+            for i in range(len(labels)):
+                suffix = ".".join(labels[i:])
+                if suffix:
+                    suffixes.setdefault(suffix, {})[pos] = node
     cands += [("suffix", Text(s), occs) for s, occs in suffixes.items() if len(occs) >= 2]
     if mode == PACKED_FULL:
         strings = [

@@ -1,7 +1,7 @@
 """Same output: the ``dns compare`` and ``dns suffix-stats`` CSVs of a seeded
-corpus, the wire form its messages decode back to from every mode, and the
-``json analyze`` CSV of a seeded JSON directory under each float mode are
-pinned by their SHA-256.
+corpus, the wire form its messages decode back to from every mode, the
+``dns compare`` CSV of seeded large responses, and the ``json analyze`` CSV
+of a seeded JSON directory under each float mode are pinned by their SHA-256.
 
 A change meant to leave every output byte as it is must pass this test
 unchanged.  A change that means to alter bytes updates the hashes and says
@@ -15,14 +15,15 @@ import random
 
 import pytest
 
-from conftest import random_message
+from conftest import random_message, random_name, random_record
 from cborkit.analysis import MODES, decode_in_mode, encode_in_mode
 from cborkit.cli import FLOAT_MODES, run
 from cborkit.dnscbor import CodecContext, ROLE_QUERY, ROLE_RESPONSE
-from cborkit.dnswire import Name, Question, decode_wire, encode_wire
+from cborkit.dnswire import CLASS_IN, TYPE_A, DnsMessage, Name, Question, decode_wire, encode_wire
 
 GOLDEN_SHA256 = {
     "compare": "abf9fc15df737cc0c20f40148602281b50836be70f20af21b92ab58b3bf9ba43",
+    "compare-large": "8be94278b33d70986a2b27e4a0f88c643485cc52fc80dfe61559f7bdd4bf3395",
     "suffix-stats": "54bbfed4b95663fd1bf4ecc5580803415188f8e6e72e3db53dec393d4e5ec6fd",
     "roundtrip": "bc21b526f7b41368bcc7b2bf44e298427dce3cf6a94833c083b2cddf1ab649c1",
     "json-analyze-preserve": "645d352fe21b4a370553cad310796ba4ac3d40e72bddf778df7cf58091e4c5c9",
@@ -57,6 +58,33 @@ def test_csv_bytes_are_pinned(tmp_path, command):
     out = tmp_path / "out.csv"
     assert run(["dns", command, "--in", str(corpus), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[command]
+
+
+def _large_corpus_hex(seed: int = 22, responses: int = 24) -> str:
+    """Responses of 20 to 200 records whose names come from one pool shared
+    by the whole corpus, so names and suffixes repeat within a message and
+    its packing table runs past index 16, 24 and 40."""
+    rng = random.Random(seed)
+    pool: list[Name] = []
+    lines = []
+    for i in range(responses):
+        question = Question(random_name(rng, pool), TYPE_A, CLASS_IN)
+        total = rng.randint(20, 200)
+        authority, additional = rng.randrange(0, 5), rng.randrange(0, 10)
+        records = [random_record(rng, pool) for _ in range(total)]
+        cut = total - authority - additional
+        sections = records[:cut], records[cut : cut + authority], records[cut + authority :]
+        msg = DnsMessage(i, 0x8180, [question], *sections)
+        lines.append(encode_wire(msg).hex())
+    return "\n".join(lines) + "\n"
+
+
+def test_large_response_csv_is_pinned(tmp_path):
+    corpus = tmp_path / "corpus.hex"
+    corpus.write_text(_large_corpus_hex())
+    out = tmp_path / "out.csv"
+    assert run(["dns", "compare", "--in", str(corpus), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256["compare-large"]
 
 
 def test_receiver_side_bytes_are_pinned():
