@@ -190,10 +190,6 @@ def decode_in_mode(data: bytes, ctx: CodecContext, mode: str) -> DnsMessage:
     return dnscbor.item_to_message(item, ctx)
 
 
-# compare_modes encodes in this component mode only and derives the others.
-_REF_BASE = ComponentRef.one_plus_zero()
-
-
 def compare_modes(
     msg: DnsMessage,
     request: DnsMessage | None = None,
@@ -204,14 +200,11 @@ def compare_modes(
     if role == ROLE_RESPONSE and request is not None and request.questions:
         request_question = request.questions[0]
     classic_size = len(encode_wire(msg, compress=True))
-    plain = dnscbor.encode_message(
-        msg, CodecContext(role, request_question, allow_query_answers)
-    )
-    refs = skipped = None
+    ctx = CodecContext(role, request_question, allow_query_answers)
+    plain = dnscbor.encode_message(msg, ctx)
+    skipped = None
     try:
-        refs = dnscbor.encode_message(
-            msg, CodecContext(role, request_question, allow_query_answers, mode=_REF_BASE)
-        )
+        base_size, references = dnscbor.component_size(msg, ctx, plain)  # in 1+0 mode
     except dnscbor.TypeMismatch as exc:  # a label that is not UTF-8 has no text component
         skipped = exc
     packed = dnspacked.packed_sizes(plain.item, len(plain.data))
@@ -221,10 +214,10 @@ def compare_modes(
             sizes[mode] = packed[pack_mode]
         elif ref is None:
             sizes[mode] = len(plain.data)
-        elif refs is not None:
+        elif skipped is None:
             # Component modes differ only in the width of each reference tag's head.
-            extra = cbor.head_size(ref.tag) - cbor.head_size(_REF_BASE.tag)
-            sizes[mode] = len(refs.data) + refs.references * extra
+            extra = cbor.head_size(ref.tag) - cbor.head_size(dnscbor.REF_TAG_1PLUS0)
+            sizes[mode] = base_size + references * extra
     return ModeComparison(role, plain.question_elided, classic_size, sizes, skipped)
 
 

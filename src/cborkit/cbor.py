@@ -160,18 +160,6 @@ CborItem = Union[
 ]
 
 
-def int_item(value: int) -> CborItem:
-    """Model an arbitrary integer in -2**64 .. 2**64 - 1."""
-    if value >= 0:
-        if value > 0xFFFFFFFFFFFFFFFF:
-            raise CborError("integer out of uint64 range: %d" % value)
-        return Uint(value)
-    n = -1 - value
-    if n > 0xFFFFFFFFFFFFFFFF:
-        raise CborError("integer below -2**64: %d" % value)
-    return Nint(n)
-
-
 @dataclass(frozen=True)
 class EncodeOptions:
     float_mode: str = FLOAT_PRESERVE

@@ -265,8 +265,9 @@ def _cmd_dns_from_cbor(args) -> int:
 
 def _report_pcap(stats: analysis.PcapStats) -> None:
     print(
-        "pcap: %d packets, %d decoded, %d non-DNS, %d undecodable"
-        % (stats.packets, stats.decoded, stats.skipped_non_dns, stats.decode_errors),
+        "pcap: %d packets, %d decoded, %d non-DNS, %d undecodable, %d IPv6 extension header(s)"
+        % (stats.packets, stats.decoded, stats.skipped_non_dns, stats.decode_errors,
+           stats.ipv6_extension_headers),
         file=sys.stderr,
     )
 
@@ -280,6 +281,8 @@ def _load_corpus(path: str):
     records, errors = analysis.ingest_hex(data.decode("utf-8", errors="replace").splitlines())
     for error in errors:
         _report_skip("line %d" % error.line_no, _failure(error.error))
+    if errors:
+        print("%d line(s) skipped" % len(errors), file=sys.stderr)
     return records
 
 

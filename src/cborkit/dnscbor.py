@@ -22,7 +22,11 @@ gets a depth-first index and a ``dnswire.SuffixTable`` maps each name
 suffix to the index of its first component, under the rule wire pointers
 follow: later names replace their longest known suffix with a single
 reference tag carrying that index, and the decoder rebuilds the name by
-jumping to the indexed component and appending what follows.
+jumping to the indexed component and appending what follows.  One helper,
+``_References``, keeps that rule for both the encoder and
+``component_size``, which sizes a component mode from the plain encoding;
+the two also share the layout rules (``_question_tail``, ``_elides_owner``,
+``_rdata_fields`` and ``_SPLICED_TYPES``).
 """
 
 from __future__ import annotations
@@ -120,61 +124,68 @@ class EncodedMessage:
     item: CborItem
     dropped_answers: int = 0
     question_elided: bool = False
-    references: int = 0  # component reference tags emitted
+
+
+class _References:
+    """The component reference rule, for the encoder and ``component_size``
+    alike: each component spelled out takes the next index, and each suffix
+    it starts is recorded in a ``SuffixTable`` unless an earlier one holds it."""
+
+    __slots__ = ("next_index", "suffixes")
+
+    def __init__(self) -> None:
+        self.next_index = 0
+        self.suffixes = SuffixTable()
+
+    def split(self, name: Name) -> tuple[tuple[str, ...], int | None]:
+        """The components to spell out and the index the rest is referenced
+        by (None: nothing left to reference)."""
+        key = name.key()
+        if not key:
+            # One empty text string: it takes an index but records no
+            # suffix, since a reference would never be shorter.
+            self.next_index += 1
+            return ("",), None
+        suffixes = self.suffixes
+        ref = suffixes.get(key)
+        if ref is not None:
+            # A repeated name or suffix: one reference.  Its labels were
+            # found to be UTF-8 when it was recorded.
+            return (), ref
+        try:
+            components = name.components()
+        except UnicodeDecodeError as exc:
+            raise TypeMismatch("name label is not UTF-8 text: %s" % exc) from exc
+        literal_count, ref = suffixes.longest(key)
+        index = self.next_index
+        for i in range(literal_count):
+            suffixes.setdefault(key[i:], index + i)
+        self.next_index = index + literal_count
+        return components[:literal_count], ref
 
 
 class _Encoder:
     def __init__(self, ctx: CodecContext):
         self.ctx = ctx
-        # Every literally emitted component takes the next index.
-        self.next_index = 0
-        self.suffixes = SuffixTable()
-        self.question_emitted = False
-        self.references = 0
+        self.refs = _References() if ctx.mode is not None else None
+        self.elides_owner = True  # set from _elides_owner once the question is placed
 
     def name_items(self, name: Name) -> list[CborItem]:
         mode = self.ctx.mode
         if mode is None:
             return [Text(name.to_text())]
-        if not name.labels:
-            # One empty text string: it takes an index but records no
-            # suffix, since a reference would never be shorter.
-            self.next_index += 1
-            return [Text("")]
-        try:
-            components = name.components()
-        except UnicodeDecodeError as exc:
-            raise TypeMismatch("name label is not UTF-8 text: %s" % exc) from exc
-        key = name.key()
-        literal_count, ref = self.suffixes.longest(key)
-        items: list[CborItem] = [Text(c) for c in components[:literal_count]]
+        literal, ref = self.refs.split(name)
+        items: list[CborItem] = [Text(c) for c in literal]
         if ref is not None:
             items.append(Tag(mode.tag, Uint(ref)))
-            self.references += 1
-        for i in range(literal_count):
-            self.suffixes.setdefault(key[i:], self.next_index + i)
-        self.next_index += literal_count
         return items
 
     def question_items(self, question: Question) -> Array:
-        items = self.name_items(question.name)
-        if question.rclass != CLASS_IN:
-            items.append(Uint(question.rtype))
-            items.append(Uint(question.rclass))
-        elif question.rtype != TYPE_AAAA:
-            items.append(Uint(question.rtype))
-        return Array(items)
+        return Array(self.name_items(question.name) + _question_tail(question))
 
     def rr_items(self, record: ResourceRecord, question_name: Name) -> Array:
         items: list[CborItem] = []
-        # An owner equal to the question name is elided unless component
-        # mode can reference the physically present question components
-        # (a 1-2 byte reference; with the question elided there is nothing
-        # to point at and elision stays cheaper than respelling).
-        elide_name = record.name.equals(question_name) and (
-            self.ctx.mode is None or not self.question_emitted
-        )
-        if not elide_name:
+        if not (self.elides_owner and record.name.equals(question_name)):
             items.extend(self.name_items(record.name))
         items.append(Uint(record.ttl))
         items.append(Uint(record.rtype))
@@ -184,22 +195,50 @@ class _Encoder:
         return Array(items)
 
     def rdata_items(self, record: ResourceRecord) -> list[CborItem]:
-        if self.ctx.structured_rdata:
-            fields = record.rdata_fields()  # None also for malformed rdata
-            if fields is not None:
-                if not fields.prefix and not fields.tail:
-                    # a lone name (NS/CNAME/PTR) is spliced into the record
-                    return self.name_items(fields.names[0])
-                items: list[CborItem] = [Uint(v) for v in fields.prefix]
-                items += [self.nested_name(n) for n in fields.names]
-                items += [Uint(v) for v in fields.tail]
-                return [Array(items)]
+        fields = _rdata_fields(record, self.ctx)
+        if fields is not None:
+            if record.rtype in _SPLICED_TYPES:
+                return self.name_items(fields.names[0])
+            items: list[CborItem] = [Uint(v) for v in fields.prefix]
+            items += [self.nested_name(n) for n in fields.names]
+            items += [Uint(v) for v in fields.tail]
+            return [Array(items)]
         return [Bytes(record.rdata)]
 
     def nested_name(self, name: Name) -> CborItem:
         if self.ctx.mode is None:
             return Text(name.to_text())
         return Array(self.name_items(name))
+
+
+def _question_tail(question: Question) -> list[CborItem]:
+    """The items after the question's name: its type unless AAAA, and its
+    class too unless IN."""
+    if question.rclass != CLASS_IN:
+        return [Uint(question.rtype), Uint(question.rclass)]
+    return [] if question.rtype == TYPE_AAAA else [Uint(question.rtype)]
+
+
+def _elides_owner(component_mode: bool, question_emitted: bool) -> bool:
+    """Whether an owner equal to the question name is elided: always in
+    plain mode, and in component mode only when the question is elided.
+    With the question present a reference to its components costs 1-2
+    bytes; without it there is nothing to point at and elision stays
+    cheaper than respelling."""
+    return not component_mode or not question_emitted
+
+
+def _rdata_fields(record: ResourceRecord, ctx: CodecContext) -> RdataFields | None:
+    """The fields the rdata is encoded from; None for one byte string
+    (unstructured rdata, a type without names, or malformed rdata)."""
+    if ctx.structured_rdata and record.rtype in RDATA_LAYOUTS:
+        return record.rdata_fields()
+    return None
+
+
+# Rdata that is a lone name (NS/CNAME/PTR) is spliced into the record;
+# other rdata fields nest in an array.
+_SPLICED_TYPES = frozenset(t for t, (head, _, tail) in RDATA_LAYOUTS.items() if head == tail == "")
 
 
 def _plan_sections(
@@ -252,7 +291,7 @@ def message_to_item(msg: DnsMessage, ctx: CodecContext) -> EncodedMessage:
         question_elided = False
     if not question_elided:
         outer.append(encoder.question_items(question))
-        encoder.question_emitted = True
+    encoder.elides_owner = _elides_owner(ctx.mode is not None, not question_elided)
     for records in sections:
         outer.append(Array([encoder.rr_items(r, question.name) for r in records]))
     return EncodedMessage(
@@ -260,7 +299,6 @@ def message_to_item(msg: DnsMessage, ctx: CodecContext) -> EncodedMessage:
         item=Array(outer),
         dropped_answers=dropped,
         question_elided=question_elided,
-        references=encoder.references,
     )
 
 
@@ -268,6 +306,69 @@ def encode_message(msg: DnsMessage, ctx: CodecContext) -> EncodedMessage:
     encoded = message_to_item(msg, ctx)
     encoded.data = cbor.encode(encoded.item)
     return encoded
+
+
+_TEXT_SIZES = tuple(cbor.head_size(n) + n for n in range(64))  # by label length
+
+
+def component_size(msg: DnsMessage, ctx: CodecContext, plain: EncodedMessage) -> tuple[int, int]:
+    """The size of ``msg`` encoded in the 1+0 component mode and its count
+    of references, from ``plain``, its encoding in ``ctx`` with no mode.
+    Visits the names in ``message_to_item``'s order and raises
+    ``TypeMismatch`` where the component encoder does."""
+    split = _References().split
+    head_size = cbor.head_size
+    ref_head = head_size(REF_TAG_1PLUS0)
+    size = len(plain.data)
+    references = 0
+
+    def swap(name: Name, has_text: bool = True) -> int:
+        """Trade a name's plain text, if any, for its items; returns their count."""
+        nonlocal size, references
+        literal, ref = split(name)
+        items = len(literal)
+        if items:
+            labels = name.labels  # the root is one empty text string
+            size += sum([_TEXT_SIZES[len(label)] for label in labels[:items]]) if labels else 1
+        if ref is not None:
+            references += 1
+            items += 1
+            size += ref_head + (1 if ref < 24 else head_size(ref))
+        if has_text:
+            text = name.to_text()
+            n = len(text) if text.isascii() else len(text.encode("utf-8"))
+            size -= n + (1 if n < 24 else head_size(n))
+        return items
+
+    # Each array holding names has at most 5 items in plain mode, so its
+    # head changes only when its components take it past 23.
+    question = msg.questions[0]
+    qname = question.name
+    question_emitted = not plain.question_elided
+    if question_emitted:
+        items = swap(qname) + len(_question_tail(question))
+        if items > 23:
+            size += head_size(items) - 1
+    # Plain mode elides every owner equal to the question name.
+    spell_owner = not _elides_owner(True, question_emitted)
+    for records in _plan_sections(msg, ctx)[0]:
+        for record in records:
+            items = 3 if record.rclass == CLASS_IN else 4  # ttl, type, rdata, class?
+            owner = record.name
+            if owner is not qname and not owner.equals(qname):
+                items += swap(owner)
+            elif spell_owner:
+                items += swap(owner, False)
+            fields = _rdata_fields(record, ctx)
+            if fields is not None and record.rtype in _SPLICED_TYPES:
+                items += swap(fields.names[0]) - 1
+            elif fields is not None:
+                for name in fields.names:  # each becomes an array
+                    count = swap(name)
+                    size += 1 if count < 24 else head_size(count)
+            if items > 23:
+                size += head_size(items) - 1
+    return size, references
 
 
 def _expect_uint(item: CborItem, bits: int, what: str) -> int:

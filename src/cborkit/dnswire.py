@@ -493,37 +493,6 @@ def encode_wire(msg: DnsMessage, compress: bool = True) -> bytes:
     return bytes(out)
 
 
-def a_rdata(address: str) -> bytes:
-    """Pack a dotted-quad IPv4 address."""
-    parts = [int(p) for p in address.split(".")]
-    if len(parts) != 4 or any(not 0 <= p <= 255 for p in parts):
-        raise DnsWireError("bad IPv4 address: %r" % address)
-    return bytes(parts)
-
-
 def name_rdata(text: str) -> bytes:
     """Uncompressed rdata for NS/CNAME/PTR records."""
     return pack_rdata(TYPE_CNAME, RdataFields((), (Name.from_text(text),), ()))
-
-
-def mx_rdata(preference: int, exchange: str) -> bytes:
-    return pack_rdata(TYPE_MX, RdataFields((preference,), (Name.from_text(exchange),), ()))
-
-
-def srv_rdata(priority: int, weight: int, port: int, target: str) -> bytes:
-    fields = RdataFields((priority, weight, port), (Name.from_text(target),), ())
-    return pack_rdata(TYPE_SRV, fields)
-
-
-def soa_rdata(
-    mname: str,
-    rname: str,
-    serial: int,
-    refresh: int,
-    retry: int,
-    expire: int,
-    minimum: int,
-) -> bytes:
-    names = (Name.from_text(mname), Name.from_text(rname))
-    fields = RdataFields((), names, (serial, refresh, retry, expire, minimum))
-    return pack_rdata(TYPE_SOA, fields)

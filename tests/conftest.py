@@ -1,4 +1,5 @@
-"""Shared builders: random CBOR items, random DNS messages, pcap files."""
+"""Shared builders: integers and rdata, random CBOR items, random DNS
+messages, pcap files."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from cborkit.cbor import (
     Array,
     Bool,
     Bytes,
+    CborError,
     CborItem,
     Float,
     Map,
@@ -24,8 +26,10 @@ from cborkit.cbor import (
 from cborkit.dnswire import (
     CLASS_IN,
     DnsMessage,
+    DnsWireError,
     Name,
     Question,
+    RdataFields,
     ResourceRecord,
     TYPE_A,
     TYPE_AAAA,
@@ -36,11 +40,53 @@ from cborkit.dnswire import (
     TYPE_SOA,
     TYPE_SRV,
     TYPE_TXT,
-    mx_rdata,
     name_rdata,
-    soa_rdata,
-    srv_rdata,
+    pack_rdata,
 )
+
+
+def int_item(value: int) -> CborItem:
+    """Model an arbitrary integer in -2**64 .. 2**64 - 1."""
+    if value >= 0:
+        if value > 0xFFFFFFFFFFFFFFFF:
+            raise CborError("integer out of uint64 range: %d" % value)
+        return Uint(value)
+    n = -1 - value
+    if n > 0xFFFFFFFFFFFFFFFF:
+        raise CborError("integer below -2**64: %d" % value)
+    return Nint(n)
+
+
+def a_rdata(address: str) -> bytes:
+    """Pack a dotted-quad IPv4 address."""
+    parts = [int(p) for p in address.split(".")]
+    if len(parts) != 4 or any(not 0 <= p <= 255 for p in parts):
+        raise DnsWireError("bad IPv4 address: %r" % address)
+    return bytes(parts)
+
+
+def mx_rdata(preference: int, exchange: str) -> bytes:
+    return pack_rdata(TYPE_MX, RdataFields((preference,), (Name.from_text(exchange),), ()))
+
+
+def srv_rdata(priority: int, weight: int, port: int, target: str) -> bytes:
+    fields = RdataFields((priority, weight, port), (Name.from_text(target),), ())
+    return pack_rdata(TYPE_SRV, fields)
+
+
+def soa_rdata(
+    mname: str,
+    rname: str,
+    serial: int,
+    refresh: int,
+    retry: int,
+    expire: int,
+    minimum: int,
+) -> bytes:
+    names = (Name.from_text(mname), Name.from_text(rname))
+    fields = RdataFields((), names, (serial, refresh, retry, expire, minimum))
+    return pack_rdata(TYPE_SOA, fields)
+
 
 _UINT_BOUNDS = (0, 1, 23, 24, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1)
 

@@ -155,8 +155,8 @@ def test_compare_modes_question_elision_via_request():
 
 @pytest.mark.parametrize("with_request", [False, True])
 def test_compare_modes_sizes_equal_real_encodings(with_request):
-    # Only the plain and compref10 sizes come from bytes compare_modes
-    # builds; compref11 and both packed sizes are derived.
+    # Only the plain size comes from bytes compare_modes builds; both
+    # component sizes and both packed sizes are derived.
     rng = random.Random(808 + with_request)
     for _ in range(200):
         msg = random_message(rng)

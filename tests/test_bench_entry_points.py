@@ -6,8 +6,9 @@ wrappers.  This installs its tracer over the package, runs one small
 mode through the wrapped attributes, and restores them, so a change that
 renames or reshapes one of those entry points fails here rather than
 only in ``perfbench/run.py --trace 1``.  ``dns compare`` sizes the packed
-modes without ``pack``, so the round trip is what reaches both ``pack``
-spans.  Nothing under ``perfbench/`` is written.
+and component modes without ``pack`` or a component encoding, so the
+round trip is what reaches both ``pack`` spans and both component
+``encode_message`` spans.  Nothing under ``perfbench/`` is written.
 """
 
 import importlib.util
@@ -61,8 +62,9 @@ def test_traced_commands_run_through_every_wrapped_entry_point(tmp_path):
             data = dnspacked.pack(plain, mode).encode()
             item = dnspacked.unpack(dnspacked.PackedEnvelope.from_bytes(data))
             assert dnscbor.item_to_message(item, ctx) == msg
-        compref11 = dnscbor.CodecContext(role=role, mode=dnscbor.ComponentRef.one_plus_one())
-        assert dnscbor.decode_message(dnscbor.encode_message(msg, compref11).data, compref11) == msg
+        for ref in (dnscbor.ComponentRef.one_plus_zero(), dnscbor.ComponentRef.one_plus_one()):
+            refs = dnscbor.CodecContext(role=role, mode=ref)
+            assert dnscbor.decode_message(dnscbor.encode_message(msg, refs).data, refs) == msg
     finally:
         spans.uninstall(saved)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_item, random_message
+from conftest import int_item, random_item, random_message
 from cborkit.analysis import MODES, encode_in_mode
 from cborkit.dnscbor import CodecContext, ROLE_QUERY, ROLE_RESPONSE
 from cborkit.cbor import (
@@ -37,7 +37,6 @@ from cborkit.cbor import (
     encode,
     head,
     head_size,
-    int_item,
     item_size,
     smallest_float_width,
     to_diagnostic,

@@ -217,6 +217,19 @@ def test_pcap_extract_and_compare(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 2
 
 
+def test_pcap_extract_reports_ipv6_extension_headers(tmp_path, capsys):
+    qwire = encode_wire(DnsMessage(5, 0x0100,
+                                   [Question(Name.from_text("x.org"), TYPE_A, CLASS_IN)]))
+    frames = [build_udp_frame(qwire, ipv6=True, v6_ext=True), build_udp_frame(qwire, ipv6=True)]
+    capture = tmp_path / "trace.pcap"
+    capture.write_bytes(build_pcap(frames))
+    hex_out = tmp_path / "corpus.hex"
+    assert run(["pcap", "extract", "--in", str(capture), "--out", str(hex_out)]) == 0
+    assert hex_out.read_text().split() == [qwire.hex(), qwire.hex()]
+    assert capsys.readouterr().err.splitlines() == [
+        "pcap: 2 packets, 2 decoded, 0 non-DNS, 0 undecodable, 1 IPv6 extension header(s)"]
+
+
 def test_bench_smoke(tmp_path, capsys):
     for target in ("json", "cbor", "dnswire", "dnscbor"):
         assert run(["bench", "--target", target, "--iterations", "3"]) == 0
@@ -340,7 +353,7 @@ def test_dns_compare_names_bad_hex_lines_in_the_skip_form(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 2
     err = capsys.readouterr().err.splitlines()
     assert [line.split(": ")[:2] for line in err] == [
-        ["line 2 skipped", "ValueError"], ["line 3 skipped", "Truncated"],
+        ["line 2 skipped", "ValueError"], ["line 3 skipped", "Truncated"], ["2 line(s) skipped"],
     ]
 
 

@@ -3,10 +3,10 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_message
+from conftest import mx_rdata, random_message, soa_rdata, srv_rdata
 from cborkit import cbor, dnscbor, dnspacked
 from cborkit.cbor import Array, Bytes, CborItem, Tag, Text, Uint
 from cborkit.dnscbor import (
@@ -38,11 +38,8 @@ from cborkit.dnswire import (
     TYPE_MX,
     TYPE_SOA,
     TYPE_SRV,
-    mx_rdata,
     name_rdata,
     pack_rdata,
-    soa_rdata,
-    srv_rdata,
     unpack_rdata,
 )
 
@@ -266,7 +263,7 @@ def _component_encoder():
 
 def test_component_index_registration():
     encoder = _component_encoder()
-    table = encoder.suffixes
+    table = encoder.refs.suffixes
     assert encoder.name_items(Name.from_text("www.example.org")) == [
         Text("www"), Text("example"), Text("org")]
     assert table == {
@@ -274,7 +271,7 @@ def test_component_index_registration():
         (b"example", b"org"): 1,
         (b"org",): 2,
     }
-    assert encoder.next_index == 3
+    assert encoder.refs.next_index == 3
     # whole-name match
     assert table.longest((b"example", b"org")) == (0, 1)
     # no match
@@ -287,20 +284,20 @@ def test_component_index_registration():
     assert encoder.name_items(Name.from_text("mail.Example.org")) == [
         Text("mail"), Tag(REF_TAG_1PLUS0, Uint(1))]
     assert table[(b"mail", b"example", b"org")] == 3
-    assert encoder.next_index == 4
+    assert encoder.refs.next_index == 4
     # emitting a recorded suffix again keeps the earliest index
     assert encoder.name_items(Name.from_text("example.org")) == [Tag(REF_TAG_1PLUS0, Uint(1))]
     assert table[(b"example", b"org")] == 1
-    assert encoder.next_index == 4
+    assert encoder.refs.next_index == 4
     # the root takes an index and records no suffix
     assert encoder.name_items(Name()) == [Text("")]
-    assert encoder.next_index == 5 and len(table) == 4
+    assert encoder.refs.next_index == 5 and len(table) == 4
 
 
 def test_lookup_matches_brute_force():
     rng = random.Random(9)
     encoder = _component_encoder()
-    table = encoder.suffixes
+    table = encoder.refs.suffixes
     pool = [b"org", b"net", b"example", b"www", b"mail", b"a", b"b"]
     for _ in range(100):
         labels = tuple(rng.choice(pool) for _ in range(rng.randrange(1, 5)))
@@ -317,7 +314,7 @@ def test_lookup_matches_brute_force():
         assert items[:literal] == [Text(label.decode()) for label in labels[:literal]]
         assert items[literal:] == ([] if ref is None else [Tag(REF_TAG_1PLUS0, Uint(ref))])
     # every table index points below next_index and is consistent
-    assert all(v < encoder.next_index for v in table.values())
+    assert all(v < encoder.refs.next_index for v in table.values())
 
 
 def test_reference_validity_forward_refs_impossible():
@@ -739,3 +736,100 @@ def test_round_trips_equal_up_to_ascii_case_in_every_mode(with_request):
             data = dnspacked.pack(plain, pmode).encode()
             item = dnspacked.unpack(dnspacked.PackedEnvelope.from_bytes(data))
             assert item_to_message(item, ctx) == decoded[None]
+
+
+# --- component_size: the component modes' size without their encoding -----
+
+# Labels that share suffixes, differ in ASCII case only, need escapes in
+# presentation form, or take a two-byte text head (24 bytes and longer).
+_SIZE_LABELS = [b"www", b"WWW", b"mail", b"example", b"Example", b"org", b"a.b", b"\x00x",
+                "é".encode(), b"l" * 30]
+_SIZE_BAD_LABEL = b"\xff\xfe"
+
+
+@st.composite
+def _size_names(draw, bad: bool) -> Name:
+    pool = _SIZE_LABELS + ([_SIZE_BAD_LABEL] if bad else [])
+    if draw(st.integers(0, 4)) == 0:  # 20-26 labels: arrays near 24 items, where heads grow
+        start, count = draw(st.integers(0, 3)), draw(st.integers(20, 26))
+        return Name(tuple(b"%d" % i for i in range(start, start + count)))
+    return Name(tuple(draw(st.lists(st.sampled_from(pool), max_size=4))))
+
+
+@st.composite
+def _size_messages(draw):
+    bad = draw(st.integers(0, 3)) == 0  # names may carry a label that is not UTF-8
+    names = _size_names(bad)
+    qname = draw(names)
+    question = Question(qname, draw(st.sampled_from([TYPE_A, TYPE_AAAA])), draw(st.sampled_from([CLASS_IN, 3])))
+
+    def record():
+        # An owner equal to the question, the same object or up to case.
+        owner = draw(st.one_of(names, st.just(qname), st.just(Name(qname.key()))))
+        rtype = draw(st.sampled_from([TYPE_A, TYPE_CNAME, TYPE_MX, TYPE_SRV, TYPE_SOA]))
+        if draw(st.integers(0, 7)) == 0:
+            rdata = b"\x00"  # does not fit any name-bearing layout
+        elif rtype == TYPE_A:
+            rdata = bytes(4)
+        else:
+            head, count, tail = RDATA_LAYOUTS[rtype]
+            fields = RdataFields((7,) * len(head), tuple(draw(names) for _ in range(count)), (9,) * len(tail))
+            rdata = pack_rdata(rtype, fields)
+        return ResourceRecord(owner, rtype, draw(st.sampled_from([CLASS_IN, CLASS_IN, 3])), 60, rdata)
+
+    sections = [[record() for _ in range(draw(st.integers(0, 3)))] for _ in range(3)]
+    response = draw(st.booleans())
+    msg = DnsMessage(0, draw(st.sampled_from([0x0100, 0x8180, 0x8583])), [question], *sections)
+    request_question = None
+    if response and draw(st.booleans()):
+        request_question = Question(Name(qname.key()), question.rtype, question.rclass)
+    ctx = CodecContext(
+        role=ROLE_RESPONSE if response else ROLE_QUERY,
+        request_question=request_question,
+        allow_query_answers=draw(st.booleans()),
+        structured_rdata=draw(st.booleans()),
+    )
+    return msg, ctx
+
+
+def _count_tags(item: CborItem, number: int) -> int:
+    if isinstance(item, Tag):
+        return (item.number == number) + _count_tags(item.content, number)
+    if isinstance(item, Array):
+        return sum(_count_tags(child, number) for child in item.items)
+    return 0
+
+
+def _labels(prefix: str, count: int) -> Name:
+    return Name(tuple(b"%s%d" % (prefix.encode(), i) for i in range(count)))
+
+
+# Arrays of exactly 24 items, the first whose head takes two bytes: the
+# question (23 labels and its type), a record (an owner of 21 labels, TTL,
+# type and address) and an MX exchange of 24 labels.
+_EDGE_MESSAGE = DnsMessage(0, 0x8180, [Question(_labels("q", 23), TYPE_A, CLASS_IN)], [
+    ResourceRecord(_labels("o", 21), TYPE_A, CLASS_IN, 60, bytes(4)),
+    ResourceRecord(_labels("q", 23), TYPE_MX, CLASS_IN, 60, mx_rdata(10, _labels("m", 24).to_text())),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_size_messages())
+@example((_EDGE_MESSAGE, CodecContext(role=ROLE_RESPONSE)))
+def test_component_size_equals_the_component_encoding(case):
+    msg, ctx = case
+    plain = encode_message(msg, ctx)
+    try:
+        size, references = dnscbor.component_size(msg, ctx, plain)
+    except TypeMismatch:
+        for mode in ALL_MODES[1:]:
+            with pytest.raises(TypeMismatch):
+                encode_message(msg, dataclasses.replace(ctx, mode=mode))
+        return
+    one_plus_zero = encode_message(msg, dataclasses.replace(ctx, mode=ALL_MODES[1]))
+    assert (size, references) == (
+        len(one_plus_zero.data), _count_tags(one_plus_zero.item, REF_TAG_1PLUS0)
+    ), cbor.to_diagnostic(one_plus_zero.item)
+    # compare_modes' 1+1 size: one byte more per reference
+    one_plus_one = encode_message(msg, dataclasses.replace(ctx, mode=ALL_MODES[2]))
+    assert size + references == len(one_plus_one.data)

@@ -404,7 +404,7 @@ def test_pack_and_compref11_size_on_messages():
         for mode in (PACKED_FULL, PACKED_LITE):
             assert pack(item, mode).encode() == _oracle_pack(item, mode).encode()
         _assert_packed_sizes_exact(item)
-        # compare_modes derives the 1+1 size from the 1+0 encoding
+        # compare_modes derives the 1+1 size from the walk's 1+0 size and references
         ctx = CodecContext(role=role, mode=ComponentRef.one_plus_one())
         assert compare_modes(msg).sizes["compref11"] == len(encode_message(msg, ctx).data)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_message
+from conftest import a_rdata, mx_rdata, random_message, soa_rdata, srv_rdata
 from cborkit.analysis import message_names
 from cborkit.cbor import Bytes
 from cborkit.dnscbor import CodecContext, ROLE_RESPONSE, message_to_item
@@ -33,14 +33,10 @@ from cborkit.dnswire import (
     TYPE_SRV,
     TYPE_TXT,
     Truncated,
-    a_rdata,
     decode_wire,
     encode_wire,
-    mx_rdata,
     name_rdata,
     pack_rdata,
-    soa_rdata,
-    srv_rdata,
     unpack_rdata,
 )
 
