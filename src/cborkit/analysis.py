@@ -221,9 +221,13 @@ def compare_modes(
     return ModeComparison(role, plain.question_elided, classic_size, sizes, skipped)
 
 
-class HexRecord(NamedTuple):
+class Record(NamedTuple):
+    """One ingested message; a pcap also gives its time and UDP flow."""
+
     role: str
     message: DnsMessage
+    timestamp: float | None = None
+    flow: frozenset | None = None  # {(ip bytes, port), (ip bytes, port)}
 
 
 class LineError(NamedTuple):
@@ -231,9 +235,9 @@ class LineError(NamedTuple):
     error: Exception  # ValueError for bad hex, else the DnsWireError
 
 
-def ingest_hex(lines: Iterable[str]) -> tuple[list[HexRecord], list[LineError]]:
+def ingest_hex(lines: Iterable[str]) -> tuple[list[Record], list[LineError]]:
     """One lowercase hex message per line; '#' comments and blanks skipped."""
-    records: list[HexRecord] = []
+    records: list[Record] = []
     errors: list[LineError] = []
     for line_no, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
@@ -244,15 +248,8 @@ def ingest_hex(lines: Iterable[str]) -> tuple[list[HexRecord], list[LineError]]:
         except (ValueError, DnsWireError) as exc:
             errors.append(LineError(line_no, exc))
             continue
-        records.append(HexRecord(ROLE_RESPONSE if msg.is_response else ROLE_QUERY, msg))
+        records.append(Record(ROLE_RESPONSE if msg.is_response else ROLE_QUERY, msg))
     return records, errors
-
-
-class PcapRecord(NamedTuple):
-    role: str
-    message: DnsMessage
-    timestamp: float
-    flow: frozenset  # {(ip bytes, port), (ip bytes, port)}
 
 
 @dataclass
@@ -264,7 +261,7 @@ class PcapStats:
     ipv6_extension_headers: int = 0
 
 
-_PCAP_MAGICS = {0xA1B2C3D4: ">", 0xD4C3B2A1: "<"}
+PCAP_MAGICS = {b"\xa1\xb2\xc3\xd4": ">", b"\xd4\xc3\xb2\xa1": "<"}  # byte order by magic
 _LINKTYPE_ETHERNET = 1
 _DNS_PORTS = (53, 5353)
 
@@ -273,17 +270,16 @@ _V6_EXTENSIONS = {0, 43, 60}
 _V6_FRAGMENT = 44
 
 
-def ingest_pcap(data: bytes) -> tuple[list[PcapRecord], PcapStats]:
+def ingest_pcap(data: bytes) -> tuple[list[Record], PcapStats]:
     if len(data) < 24:
         raise BadMagic("file shorter than a pcap global header")
-    magic = struct.unpack(">I", data[:4])[0]
-    if magic not in _PCAP_MAGICS:
-        raise BadMagic("magic %#x is not a legacy pcap" % magic)
-    endian = _PCAP_MAGICS[magic]
+    endian = PCAP_MAGICS.get(data[:4])
+    if endian is None:
+        raise BadMagic("magic %#x is not a legacy pcap" % int.from_bytes(data[:4], "big"))
     linktype = struct.unpack(endian + "I", data[20:24])[0]
     if linktype != _LINKTYPE_ETHERNET:
         raise UnsupportedLinkType("linktype %d (only Ethernet supported)" % linktype)
-    records: list[PcapRecord] = []
+    records: list[Record] = []
     stats = PcapStats()
     pos = 24
     while pos + 16 <= len(data):
@@ -298,6 +294,7 @@ def ingest_pcap(data: bytes) -> tuple[list[PcapRecord], PcapStats]:
         stats.packets += 1
         parsed = _parse_frame(frame, stats)
         if parsed is None:
+            stats.skipped_non_dns += 1
             continue
         payload, flow = parsed
         try:
@@ -307,7 +304,7 @@ def ingest_pcap(data: bytes) -> tuple[list[PcapRecord], PcapStats]:
             continue
         stats.decoded += 1
         records.append(
-            PcapRecord(
+            Record(
                 ROLE_RESPONSE if msg.is_response else ROLE_QUERY,
                 msg,
                 ts_sec + ts_usec / 1e6,
@@ -318,8 +315,8 @@ def ingest_pcap(data: bytes) -> tuple[list[PcapRecord], PcapStats]:
 
 
 def _parse_frame(frame: bytes, stats: PcapStats):
+    """The UDP DNS payload and flow of an Ethernet frame; None if not DNS."""
     if len(frame) < 14:
-        stats.skipped_non_dns += 1
         return None
     ethertype = struct.unpack(">H", frame[12:14])[0]
     payload = frame[14:]
@@ -328,17 +325,14 @@ def _parse_frame(frame: bytes, stats: PcapStats):
     elif ethertype == 0x86DD:
         parsed = _parse_ipv6(payload, stats)
     else:
-        parsed = None
+        return None
     if parsed is None:
-        stats.skipped_non_dns += 1
         return None
     src, dst, udp = parsed
     if len(udp) < 8:
-        stats.skipped_non_dns += 1
         return None
     sport, dport, length = struct.unpack(">HHH", udp[:6])
     if sport not in _DNS_PORTS and dport not in _DNS_PORTS:
-        stats.skipped_non_dns += 1
         return None
     payload = udp[8 : max(8, min(length, len(udp)))]
     flow = frozenset(((src, sport), (dst, dport)))
@@ -389,14 +383,13 @@ def _parse_ipv6(packet: bytes, stats: PcapStats):
             return None
 
 
-def _pair_key(record) -> tuple:
+def _pair_key(record: Record) -> tuple:
     msg = record.message
     question = None
     if msg.questions:
         q = msg.questions[0]
         question = (q.name.key(), q.rtype, q.rclass)
-    flow = getattr(record, "flow", None)
-    return (msg.id, question, flow)
+    return (msg.id, question, record.flow)
 
 
 def pair_queries_responses(records: Iterable) -> list[tuple]:

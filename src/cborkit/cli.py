@@ -274,7 +274,7 @@ def _report_pcap(stats: analysis.PcapStats) -> None:
 
 def _load_corpus(path: str):
     data = _read_bytes(path)
-    if len(data) >= 4 and data[:4] in (b"\xa1\xb2\xc3\xd4", b"\xd4\xc3\xb2\xa1"):
+    if data[:4] in analysis.PCAP_MAGICS:
         records, stats = analysis.ingest_pcap(data)
         _report_pcap(stats)
         return records

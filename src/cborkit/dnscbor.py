@@ -16,6 +16,9 @@ The layout leans on element order instead of field keys:
 * a record array is ``[name..., ttl, type, rdata..., class?]``; the
   name is omitted when it equals the question name (plain mode only).
 
+``encode_message`` is the one encode entry point: it builds the item and
+its bytes together.
+
 Names are either one text string (presentation form, mode ``None``) or
 spliced label components.  In component mode every emitted text string
 gets a depth-first index and a ``dnswire.SuffixTable`` maps each name
@@ -268,8 +271,7 @@ def _plan_sections(
     return [], dropped
 
 
-def message_to_item(msg: DnsMessage, ctx: CodecContext) -> EncodedMessage:
-    """Build the outer CBOR array; ``data`` is left empty here."""
+def encode_message(msg: DnsMessage, ctx: CodecContext) -> EncodedMessage:
     if len(msg.questions) != 1:
         raise MultiQuestion(
             "message carries %d questions; exactly one is required" % len(msg.questions)
@@ -294,18 +296,8 @@ def message_to_item(msg: DnsMessage, ctx: CodecContext) -> EncodedMessage:
     encoder.elides_owner = _elides_owner(ctx.mode is not None, not question_elided)
     for records in sections:
         outer.append(Array([encoder.rr_items(r, question.name) for r in records]))
-    return EncodedMessage(
-        data=b"",
-        item=Array(outer),
-        dropped_answers=dropped,
-        question_elided=question_elided,
-    )
-
-
-def encode_message(msg: DnsMessage, ctx: CodecContext) -> EncodedMessage:
-    encoded = message_to_item(msg, ctx)
-    encoded.data = cbor.encode(encoded.item)
-    return encoded
+    item = Array(outer)
+    return EncodedMessage(cbor.encode(item), item, dropped, question_elided)
 
 
 _TEXT_SIZES = tuple(cbor.head_size(n) + n for n in range(64))  # by label length
@@ -314,7 +306,7 @@ _TEXT_SIZES = tuple(cbor.head_size(n) + n for n in range(64))  # by label length
 def component_size(msg: DnsMessage, ctx: CodecContext, plain: EncodedMessage) -> tuple[int, int]:
     """The size of ``msg`` encoded in the 1+0 component mode and its count
     of references, from ``plain``, its encoding in ``ctx`` with no mode.
-    Visits the names in ``message_to_item``'s order and raises
+    Visits the names in ``encode_message``'s order and raises
     ``TypeMismatch`` where the component encoder does."""
     split = _References().split
     head_size = cbor.head_size
@@ -501,11 +493,11 @@ class _Decoder:
         element = elems[i]
         layout = RDATA_LAYOUTS.get(rtype) if self.ctx.structured_rdata else None
         if layout is not None and not isinstance(element, Bytes):
-            head, count, tail = layout
-            if not head and not tail:
+            if rtype in _SPLICED_TYPES:
                 name, i = self.parse_name(elems, i)
                 return pack_rdata(rtype, RdataFields((), (name,), ())), i
             if isinstance(element, Array):
+                head, count, tail = layout
                 f = element.items
                 if len(f) != len(head) + count + len(tail):
                     raise TypeMismatch(
@@ -557,11 +549,6 @@ def item_to_message(item: CborItem, ctx: CodecContext) -> DnsMessage:
         q = ctx.request_question
         question = Question(q.name, q.rtype, q.rclass)
     section_items = elems[i:]
-    for section in section_items:
-        if not isinstance(section, Array) or not all(
-            isinstance(e, Array) for e in section.items
-        ):
-            raise TypeMismatch("sections must be arrays of record arrays")
     count = len(section_items)
     answers: list[ResourceRecord] = []
     authority: list[ResourceRecord] = []
@@ -576,6 +563,8 @@ def item_to_message(item: CborItem, ctx: CodecContext) -> DnsMessage:
         raise TypeMismatch("%d section arrays do not fit role %s" % (count, ctx.role))
     targets = {"an": answers, "ns": authority, "ar": additional}
     for slot, section in zip(order or (), section_items):
+        if not isinstance(section, Array):
+            raise TypeMismatch("section must be an array of records")
         targets[slot].extend(
             decoder.parse_rr(rr, question.name) for rr in section.items
         )

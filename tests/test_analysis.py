@@ -269,19 +269,31 @@ def make_query_response_wire():
     return encode_wire(query), encode_wire(response)
 
 
+def _ingest(pcap):
+    """``ingest_pcap``, checking that each packet is counted exactly once."""
+    records, stats = ingest_pcap(pcap)
+    assert stats.packets == stats.decoded + stats.skipped_non_dns + stats.decode_errors
+    assert stats.decoded == len(records)
+    return records, stats
+
+
 def test_ingest_pcap_basic():
     qwire, rwire = make_query_response_wire()
+    later_fragment = build_udp_frame(qwire)
+    later_fragment = later_fragment[:20] + struct.pack(">H", 185) + later_fragment[22:]
     frames = [
         build_udp_frame(qwire, sport=40000, dport=53),
         build_udp_frame(rwire, sport=53, dport=40000,
                         src=b"\x0a\x00\x00\x02", dst=b"\x0a\x00\x00\x01"),
         build_udp_frame(b"payload", sport=40000, dport=9999),  # non-DNS UDP
         build_tcp_frame(qwire),  # TCP DNS is skipped
+        b"\x02" * 13,  # shorter than an Ethernet header
+        later_fragment,  # a non-first IPv4 fragment carries no UDP header
     ]
-    records, stats = ingest_pcap(build_pcap(frames))
-    assert stats.packets == 4
+    records, stats = _ingest(build_pcap(frames))
+    assert stats.packets == 6
     assert stats.decoded == 2
-    assert stats.skipped_non_dns == 2
+    assert stats.skipped_non_dns == 4
     assert [r.role for r in records] == ["query", "response"]
     assert records[0].timestamp <= records[1].timestamp
     assert records[0].flow == records[1].flow  # symmetric 5-tuple
@@ -295,7 +307,7 @@ def test_ingest_pcap_swapped_and_v6():
         build_udp_frame(qwire, ipv6=True),
         build_udp_frame(rwire, ipv6=True, v6_ext=True, dport=5353, sport=5353),
     ]
-    records, stats = ingest_pcap(build_pcap(frames, swapped=True))
+    records, stats = _ingest(build_pcap(frames, swapped=True))
     assert stats.decoded == 2
     assert stats.ipv6_extension_headers == 1
     assert records[0].role == "query"
@@ -303,12 +315,12 @@ def test_ingest_pcap_swapped_and_v6():
 
 def test_ingest_pcap_mdns_port():
     qwire, _ = make_query_response_wire()
-    records, stats = ingest_pcap(build_pcap([build_udp_frame(qwire, sport=5353, dport=5353)]))
+    records, stats = _ingest(build_pcap([build_udp_frame(qwire, sport=5353, dport=5353)]))
     assert stats.decoded == 1
 
 
 def test_ingest_pcap_undecodable_counted():
-    records, stats = ingest_pcap(build_pcap([build_udp_frame(b"\x00\x01", dport=53)]))
+    records, stats = _ingest(build_pcap([build_udp_frame(b"\x00\x01", dport=53)]))
     assert stats.decode_errors == 1 and not records
 
 

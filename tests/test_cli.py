@@ -206,15 +206,16 @@ def test_dns_suffix_stats(tmp_path):
 def test_pcap_extract_and_compare(tmp_path):
     qwire = encode_wire(DnsMessage(5, 0x0100,
                                    [Question(Name.from_text("x.org"), TYPE_A, CLASS_IN)]))
-    capture = tmp_path / "trace.pcap"
-    capture.write_bytes(build_pcap([build_udp_frame(qwire)]))
-    hex_out = tmp_path / "corpus.hex"
-    assert run(["pcap", "extract", "--in", str(capture), "--out", str(hex_out)]) == 0
-    assert hex_out.read_text().strip() == qwire.hex()
-    # compare consumes pcap directly too
-    out = tmp_path / "cmp.csv"
-    assert run(["dns", "compare", "--in", str(capture), "--out", str(out)]) == 0
-    assert len(out.read_text().strip().split("\n")) == 2
+    for swapped in (False, True):  # both byte orders of the pcap headers
+        capture = tmp_path / ("trace%d.pcap" % swapped)
+        capture.write_bytes(build_pcap([build_udp_frame(qwire)], swapped=swapped))
+        hex_out = tmp_path / "corpus.hex"
+        assert run(["pcap", "extract", "--in", str(capture), "--out", str(hex_out)]) == 0
+        assert hex_out.read_text().strip() == qwire.hex()
+        # compare consumes pcap directly too
+        out = tmp_path / "cmp.csv"
+        assert run(["dns", "compare", "--in", str(capture), "--out", str(out)]) == 0
+        assert len(out.read_text().strip().split("\n")) == 2
 
 
 def test_pcap_extract_reports_ipv6_extension_headers(tmp_path, capsys):

@@ -373,6 +373,12 @@ def test_type_mismatch_cases():
     q = Array([Text("x.org"), Uint(1)])
     with pytest.raises(TypeMismatch):
         item_to_message(Array([q, Array([Uint(1)])]), ctx)
+    # a section that is not an array, in every role and name mode
+    component_q = Array([Text("x"), Text("org"), Uint(1)])
+    for mode, question in ((None, q), (ComponentRef.one_plus_zero(), component_q)):
+        for role in (ROLE_RESPONSE, ROLE_QUERY):
+            with pytest.raises(TypeMismatch):
+                item_to_message(Array([question, Uint(5)]), CodecContext(role=role, mode=mode))
     # queries must carry a question
     with pytest.raises(TypeMismatch):
         item_to_message(Array([Array([Array([Uint(1), Uint(1), Bytes(b"")])])]),

@@ -248,8 +248,9 @@ def test_unpack_goldens():
 
 def _oracle_pack(item, mode):
     """The earlier packer: every admission rescans every candidate and
-    sizes every reference by building it; byte prefixes come from every
-    pair of strings.  It shares no code with the packer but the constants."""
+    sizes each distinct reference by building it; byte prefixes come from
+    every pair of strings.  It shares no code with the packer but the
+    constants."""
     positions = list(_flatten(item))  # preorder
     cands = []  # (kind, entry, {position: original})
     if mode == PACKED_FULL:
@@ -303,22 +304,31 @@ def _oracle_pack(item, mode):
             return Tag(dnspacked.SUFFIX_TAG, Array([Text(head), Uint(index)]))
         return Tag(dnspacked.PREFIX_TAG, Array([Uint(index), Bytes(original.data[len(entry.data) :])]))
 
+    # A reference's size depends only on its kind, the payload it keeps of
+    # its original and its index, so each distinct one is built and sized
+    # once.  Each candidate carries what it keeps of each original.
+    cands = [
+        (kind, entry, occs, {pos: _payload_len(kind, entry, o) for pos, o in occs.items()})
+        for kind, entry, occs in cands
+    ]
+    reference_size = {}
     table, consumed, rewrites = [], set(), {}
     while cands:
         index = len(table)
         best, best_saving = None, 0
-        for kind, entry, occs in cands:
+        for kind, entry, occs, kept in cands:
             saving = -entry_size[entry]
             for pos, original in occs.items():
                 if pos not in consumed:
-                    saving += original_size[pos] - cbor.item_size(
-                        reference(kind, entry, original, index)
-                    )
+                    key = (kind, kept[pos], index)
+                    if key not in reference_size:
+                        reference_size[key] = cbor.item_size(reference(kind, entry, original, index))
+                    saving += original_size[pos] - reference_size[key]
             if saving > best_saving:
-                best, best_saving = (kind, entry, occs), saving
+                best, best_saving = (kind, entry, occs, kept), saving
         if best is None:
             break
-        kind, entry, occs = best
+        kind, entry, occs, _ = best
         table.append(entry)
         for pos, original in occs.items():
             if pos not in consumed:
@@ -326,6 +336,16 @@ def _oracle_pack(item, mode):
                 consumed.add(pos)
         cands.remove(best)
     return PackedEnvelope(table, _oracle_rebuild(item, rewrites, [0]))
+
+
+def _payload_len(kind, entry, original):
+    """The bytes of ``original`` its reference keeps: none for a value, the
+    UTF-8 head before a suffix, the bytes after a prefix."""
+    if kind == "value":
+        return 0
+    if kind == "suffix":
+        return len(original.data.encode("utf-8")) - len(entry.data.encode("utf-8"))
+    return len(original.data) - len(entry.data)
 
 
 def _oracle_rebuild(item, rewrites, counter):

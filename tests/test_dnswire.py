@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import a_rdata, mx_rdata, random_message, soa_rdata, srv_rdata
 from cborkit.analysis import message_names
 from cborkit.cbor import Bytes
-from cborkit.dnscbor import CodecContext, ROLE_RESPONSE, message_to_item
+from cborkit.dnscbor import CodecContext, ROLE_RESPONSE, encode_message
 from cborkit.dnswire import (
     BadPointerTarget,
     CLASS_IN,
@@ -396,7 +396,7 @@ def test_compression_writes_rdata_off_its_layout_verbatim(rtype, rdata):
     assert encode_wire(msg, compress=True).endswith(tail)
     assert encode_wire(msg, compress=False).endswith(tail)
     # the CBOR codec carries it as a byte string, and it holds no names
-    record = message_to_item(msg, CodecContext(role=ROLE_RESPONSE)).item.items[-1].items[0]
+    record = encode_message(msg, CodecContext(role=ROLE_RESPONSE)).item.items[-1].items[0]
     assert record.items[-1] == Bytes(rdata)
     assert message_names(msg) == [Name.from_text("example"), Name.from_text("m.example")]
 
