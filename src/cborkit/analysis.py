@@ -224,7 +224,6 @@ def compare_modes(
 class Record(NamedTuple):
     """One ingested message; a pcap also gives its time and UDP flow."""
 
-    role: str
     message: DnsMessage
     timestamp: float | None = None
     flow: frozenset | None = None  # {(ip bytes, port), (ip bytes, port)}
@@ -248,7 +247,7 @@ def ingest_hex(lines: Iterable[str]) -> tuple[list[Record], list[LineError]]:
         except (ValueError, DnsWireError) as exc:
             errors.append(LineError(line_no, exc))
             continue
-        records.append(Record(ROLE_RESPONSE if msg.is_response else ROLE_QUERY, msg))
+        records.append(Record(msg))
     return records, errors
 
 
@@ -305,7 +304,6 @@ def ingest_pcap(data: bytes) -> tuple[list[Record], PcapStats]:
         stats.decoded += 1
         records.append(
             Record(
-                ROLE_RESPONSE if msg.is_response else ROLE_QUERY,
                 msg,
                 ts_sec + ts_usec / 1e6,
                 flow,
@@ -399,11 +397,11 @@ def pair_queries_responses(records: Iterable) -> list[tuple]:
     pending: dict[tuple, deque] = {}
     pairs = []
     for record in records:
-        if record.role == ROLE_QUERY:
-            pending.setdefault(_pair_key(record), deque()).append(record)
-        elif record.role == ROLE_RESPONSE:
+        if record.message.is_response:
             queue = pending.get(_pair_key(record))
             pairs.append((queue.popleft() if queue else None, record))
+        else:
+            pending.setdefault(_pair_key(record), deque()).append(record)
     return pairs
 
 

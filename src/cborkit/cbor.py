@@ -10,9 +10,11 @@ definite model.
 ``head`` and ``_encode_into`` are the one statement of the encoding
 rules: ``item_size`` is the length of ``encode``, and other modules take
 heads and text encodings from ``head``, ``utf8`` and ``text_encoding``
-rather than restating them.  ``head_size`` keeps its own comparisons
-because the packer's arithmetic calls it too often to build a head each
-time; the tests hold it to ``len(head(...))``.
+rather than restating them.  ``_float_width`` is the one rule for a
+float's width, in every float mode and in ``smallest_float_width``.
+``head_size`` keeps its own comparisons because the packer's arithmetic
+calls it too often to build a head each time; the tests hold it to
+``len(head(...))``.
 
 The decoder is one pass: ``_decode_item`` reads each head straight from
 the input, checks every length against its end once, and returns the item
@@ -215,12 +217,22 @@ def text_encoding(text: str) -> bytes:
     return head(3, len(data)) + data
 
 
-def _width_fits(fmt: str, value: float) -> bool:
-    try:
-        packed = struct.pack(fmt, value)
-    except (OverflowError, ValueError):
-        return False
-    return struct.pack(">d", struct.unpack(fmt, packed)[0]) == struct.pack(">d", value)
+# Each IEEE width in bits: the initial byte of its head and its struct format.
+_FLOAT_WIDTHS = {16: (b"\xf9", ">e"), 32: (b"\xfa", ">f"), 64: (b"\xfb", ">d")}
+
+
+def _float_width(value: float, floor: int) -> int:
+    """The narrowest of 16, 32 and 64 bits, not below ``floor``, that holds
+    the non-NaN ``value`` exactly (64 when none narrower does)."""
+    for width in (16, 32):
+        fmt = _FLOAT_WIDTHS[width][1]
+        try:
+            # Exact: NaN never comes here, and every width keeps zero's sign.
+            if width >= floor and struct.unpack(fmt, struct.pack(fmt, value))[0] == value:
+                return width
+        except (OverflowError, ValueError):  # beyond the width's range
+            pass
+    return 64
 
 
 def _float_bytes(item: Float, mode: str) -> bytes:
@@ -228,33 +240,21 @@ def _float_bytes(item: Float, mode: str) -> bytes:
     if math.isnan(v):
         # Deterministic output: every NaN becomes the canonical quiet NaN.
         return _CANONICAL_NAN
-    if mode == FLOAT_FORCE_DOUBLE:
-        return b"\xfb" + struct.pack(">d", v)
-    if mode == FLOAT_SMALLEST:
-        widths: tuple[int, ...] = (16, 32, 64)
-    elif mode == FLOAT_PRESERVE:
-        widths = tuple(w for w in (16, 32, 64) if w >= item.preferred_width)
+    if mode == FLOAT_PRESERVE:
+        floor = item.preferred_width
+    elif mode == FLOAT_SMALLEST:
+        floor = 16
+    elif mode == FLOAT_FORCE_DOUBLE:
+        floor = 64
     else:
         raise CborError("unknown float mode: %r" % mode)
-    for width in widths:
-        if width == 16 and _width_fits(">e", v):
-            return b"\xf9" + struct.pack(">e", v)
-        if width == 32 and _width_fits(">f", v):
-            return b"\xfa" + struct.pack(">f", v)
-        if width == 64:
-            return b"\xfb" + struct.pack(">d", v)
-    return b"\xfb" + struct.pack(">d", v)
+    initial, fmt = _FLOAT_WIDTHS[_float_width(v, floor)]
+    return initial + struct.pack(fmt, v)
 
 
 def smallest_float_width(value: float) -> int:
     """Narrowest IEEE width (16/32/64) that represents ``value`` exactly."""
-    if math.isnan(value):
-        return 16
-    if _width_fits(">e", value):
-        return 16
-    if _width_fits(">f", value):
-        return 32
-    return 64
+    return 16 if math.isnan(value) else _float_width(value, 16)
 
 
 def encode(item: CborItem, opts: EncodeOptions = EncodeOptions()) -> bytes:
@@ -324,7 +324,6 @@ def _encode_into(out: bytearray, item: CborItem, opts: EncodeOptions, depth: int
 
 _BREAK = object()
 _ARG_BYTES = {24: 1, 25: 2, 26: 4, 27: 8}
-_FLOAT_FORMATS = {2: ">e", 4: ">f", 8: ">d"}
 
 
 def decode(data: bytes) -> tuple[CborItem, int]:
@@ -409,7 +408,7 @@ def _decode_item(data: bytes, pos: int, depth: int, allow_break: bool):
         if arg < 32:
             raise InvalidSimple("two-byte simple value %d below 32" % arg)
         return Simple(arg), pos
-    value = struct.unpack(_FLOAT_FORMATS[size], data[pos - size : pos])[0]
+    value = struct.unpack(_FLOAT_WIDTHS[8 * size][1], data[pos - size : pos])[0]
     return Float(value, 8 * size), pos
 
 

@@ -160,16 +160,19 @@ def _cmd_cbor_encode(args) -> int:
 
 def _cmd_cbor_decode(args) -> int:
     data = _load_cbor_input(args.infile, args.hex)
+    lines = []
     offset = 0
     while offset < len(data):
         item, consumed = cbor.decode(data[offset:])
-        print(cbor.to_diagnostic(item))
+        lines.append(cbor.to_diagnostic(item) + "\n")
         offset += consumed
+    _write_text("".join(lines), args.out)
     return 0
 
 
 def _cmd_cbor_diag(args) -> int:
-    print(cbor.to_diagnostic(_decode_one(_load_cbor_input(args.infile, args.hex))))
+    item = _decode_one(_load_cbor_input(args.infile, args.hex))
+    _write_text(cbor.to_diagnostic(item) + "\n", args.out)
     return 0
 
 
@@ -380,12 +383,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_io(parser, out_required: bool = False) -> None:
+def _add_io(parser, binary: bool = True) -> None:
     parser.add_argument("--in", dest="infile", required=True, help="input file")
-    parser.add_argument("--out", dest="out", required=out_required, help="output file")
-    parser.add_argument(
-        "--hex", action="store_true", help="treat binary input/output as hex text"
-    )
+    parser.add_argument("--out", dest="out", help="output file")
+    if binary:
+        parser.add_argument(
+            "--hex", action="store_true", help="treat binary input/output as hex text"
+        )
 
 
 def _add_dns_mode(parser) -> None:
@@ -437,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.set_defaults(func=_cmd_json_from_cbor)
     p = json_sub.add_parser("minify")
-    _add_io(p)
+    _add_io(p, binary=False)
     p.set_defaults(func=_cmd_json_minify)
     p = json_sub.add_parser("blob-transform")
     _add_io(p)
@@ -446,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--float-mode", choices=FLOAT_MODES, default=cbor.FLOAT_SMALLEST)
     p.set_defaults(func=_cmd_json_blob)
     p = json_sub.add_parser("analyze", help="taxonomy and savings CSV for a directory")
-    _add_io(p)
+    _add_io(p, binary=False)
     p.add_argument("--float-mode", choices=FLOAT_MODES, default=cbor.FLOAT_SMALLEST)
     p.set_defaults(func=_cmd_json_analyze)
 
@@ -462,18 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-compress", action="store_true", help="emit wire form without pointers")
     p.set_defaults(func=_cmd_dns_from_cbor)
     p = dns_sub.add_parser("compare", help="per-message size comparison CSV")
-    _add_io(p)
+    _add_io(p, binary=False)
     p.add_argument("--query-answers", action="store_true")
     p.add_argument("--parallel", type=int, default=1, metavar="N")
     p.set_defaults(func=_cmd_dns_compare)
     p = dns_sub.add_parser("suffix-stats", help="pairwise name/address statistics CSV")
-    _add_io(p)
+    _add_io(p, binary=False)
     p.set_defaults(func=_cmd_dns_suffix_stats)
 
     pcap_p = sub.add_parser("pcap", help="packet capture utilities")
     pcap_sub = pcap_p.add_subparsers(dest="action", required=True)
     p = pcap_sub.add_parser("extract", help="pcap to hex corpus")
-    _add_io(p)
+    _add_io(p, binary=False)
     p.set_defaults(func=_cmd_pcap_extract)
 
     p = sub.add_parser("bench", help="non-asserting runtime report")

@@ -155,16 +155,16 @@ class _References:
             # A repeated name or suffix: one reference.  Its labels were
             # found to be UTF-8 when it was recorded.
             return (), ref
+        literal_count, ref = suffixes.longest(key)
         try:
-            components = name.components()
+            components = tuple([label.decode("utf-8") for label in name.labels[:literal_count]])
         except UnicodeDecodeError as exc:
             raise TypeMismatch("name label is not UTF-8 text: %s" % exc) from exc
-        literal_count, ref = suffixes.longest(key)
         index = self.next_index
         for i in range(literal_count):
             suffixes.setdefault(key[i:], index + i)
         self.next_index = index + literal_count
-        return components[:literal_count], ref
+        return components, ref
 
 
 class _Encoder:
@@ -450,17 +450,11 @@ class _Decoder:
     def parse_question(self, arr: Array) -> Question:
         name, i = self.parse_name(arr.items, 0)
         rest = arr.items[i:]
-        if len(rest) == 0:
-            return Question(name, TYPE_AAAA, CLASS_IN)
-        if len(rest) == 1:
-            return Question(name, _expect_uint(rest[0], 16, "question type"), CLASS_IN)
-        if len(rest) == 2:
-            return Question(
-                name,
-                _expect_uint(rest[0], 16, "question type"),
-                _expect_uint(rest[1], 16, "question class"),
-            )
-        raise TypeMismatch("question array has %d trailing items" % len(rest))
+        if len(rest) > 2:
+            raise TypeMismatch("question array has %d trailing items" % len(rest))
+        rtype = _expect_uint(rest[0], 16, "question type") if rest else TYPE_AAAA
+        rclass = _expect_uint(rest[1], 16, "question class") if len(rest) == 2 else CLASS_IN
+        return Question(name, rtype, rclass)
 
     def parse_rr(self, arr: CborItem, question_name: Name) -> ResourceRecord:
         if not isinstance(arr, Array) or not arr.items:

@@ -1,9 +1,10 @@
 """Classic DNS wire format (RFC 1035) encode/decode.
 
 Names decode with full compression-pointer expansion; the pointer chain
-must move strictly backwards, so parsing is linear and loop-free.  On
-encode, compression points at the longest previously written suffix,
-its earliest occurrence, including names embedded in the rdata of the
+must move strictly backwards, so parsing is loop-free, and one name
+follows at most 127 pointers, so no name walks a long chain.  On encode,
+compression points at the longest previously written suffix, its
+earliest occurrence, including names embedded in the rdata of the
 RFC 1035 record types that carry them (NS, CNAME, SOA, PTR, MX, SRV).
 ``SuffixTable`` states that rule once, for these byte offsets (an offset
 past the 14-bit pointer range is never recorded) and for the component
@@ -17,11 +18,12 @@ build that rdata through ``unpack_rdata``, ``pack_rdata`` and
 ``ResourceRecord.rdata_fields``.  ``decode_wire`` keeps on each record the
 split it makes while expanding pointers, and within one message it makes
 names with the same label bytes (case kept) one ``Name``, which works out
-its key, presentation form and UTF-8 components once.
+its key and presentation form once.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -88,22 +90,25 @@ FLAG_QR = 0x8000
 
 _POINTER_MASK = 0xC0
 _MAX_POINTER = 0x3FFF
+_MAX_HOPS = 127  # pointers one name may follow: the most labels of a 255-byte name
 _HEADER_LEN = 12
 
 _ESCAPED = frozenset(b'."\\;()@$')
+# Presentation-form tokens: an escape (\DDD or \X), a dot, a run of other
+# characters, or a backslash that ends the text.
+_TEXT_TOKENS = re.compile(r"\\(?:[0-9]{3}|.)?|\.|[^\\.]+", re.DOTALL)
 
 
 @dataclass(frozen=True, slots=True)
 class Name:
     """A DNS name as an ordered tuple of labels (empty tuple = root).
 
-    Equality, hash and repr read ``labels`` only; ``key()``, ``to_text()``
-    and ``components()`` work out their result once."""
+    Equality, hash and repr read ``labels`` only; ``key()`` and
+    ``to_text()`` work out their result once."""
 
     labels: tuple[bytes, ...] = ()
     _key: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
     _text: str | None = field(default=None, init=False, repr=False, compare=False)
-    _components: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for label in self.labels:
@@ -124,37 +129,29 @@ class Name:
         """Parse presentation form ('' or '.' both mean root)."""
         if text in ("", "."):
             return cls(())
-        # A final dot is the root unless an odd run of backslashes escapes it.
-        if text[-1] == "." and (len(text) - len(text[:-1].rstrip("\\"))) % 2:
-            text = text[:-1]
         if "\\" not in text:
+            if text[-1] == ".":
+                text = text[:-1]
             return cls(tuple([label.encode("utf-8") for label in text.split(".")]))
         labels: list[bytes] = []
         current = bytearray()
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\\":
-                digits = text[i + 1 : i + 4]
-                if len(digits) == 3 and all(c in "0123456789" for c in digits):
-                    code = int(digits)
-                    if code > 255:
-                        raise DnsWireError("escape \\%s out of byte range" % digits)
-                    current.append(code)
-                    i += 4
-                    continue
-                if i + 1 >= len(text):
-                    raise DnsWireError("dangling escape")
-                current += text[i + 1].encode("utf-8")
-                i += 2
-                continue
-            if ch == ".":
+        for token in _TEXT_TOKENS.findall(text):
+            if token == ".":
                 labels.append(bytes(current))
                 current = bytearray()
+            elif token[0] != "\\":
+                current += token.encode("utf-8")
+            elif len(token) == 4:  # \DDD
+                code = int(token[1:])
+                if code > 255:
+                    raise DnsWireError("escape %s out of byte range" % token)
+                current.append(code)
+            elif len(token) == 2:
+                current += token[1].encode("utf-8")
             else:
-                current += ch.encode("utf-8")
-            i += 1
-        labels.append(bytes(current))
+                raise DnsWireError("dangling escape")
+        if token != ".":  # a final dot that is not escaped ends the name
+            labels.append(bytes(current))
         return cls(tuple(labels))
 
     def to_text(self) -> str:
@@ -162,13 +159,6 @@ class Name:
         if self._text is None:
             object.__setattr__(self, "_text", ".".join(map(_label_text, self.labels)))
         return self._text
-
-    def components(self) -> tuple[str, ...]:
-        """The labels as UTF-8 text; ``UnicodeDecodeError`` if one is not."""
-        if self._components is None:
-            components = tuple([label.decode("utf-8") for label in self.labels])
-            object.__setattr__(self, "_components", components)
-        return self._components
 
     def key(self) -> tuple[bytes, ...]:
         """Case-insensitive comparison key: ASCII letters folded (RFC 4343)."""
@@ -278,6 +268,7 @@ def _read_name(data: bytes, offset: int, min_target: int, names: dict) -> tuple[
     """
     labels: list[bytes] = []
     total = 1
+    hops = 0
     pos = offset
     resume = -1
     limit = len(data)  # upper bound for the next pointer target
@@ -289,6 +280,9 @@ def _read_name(data: bytes, offset: int, min_target: int, names: dict) -> tuple[
             if pos + 1 >= len(data):
                 raise Truncated("pointer missing second byte")
             target = ((length & 0x3F) << 8) | data[pos + 1]
+            hops += 1
+            if hops > _MAX_HOPS:
+                raise PointerLoop("name follows more than %d pointers" % _MAX_HOPS)
             if resume < 0:
                 resume = pos + 2
                 limit = pos

@@ -206,7 +206,7 @@ def test_ingest_hex():
         "0c",  # truncated message
     ]
     records, errors = ingest_hex(lines)
-    assert [r.role for r in records] == ["query", "response"]
+    assert [r.message.is_response for r in records] == [False, True]
     assert [e.line_no for e in errors] == [6, 7]
 
 
@@ -294,7 +294,7 @@ def test_ingest_pcap_basic():
     assert stats.packets == 6
     assert stats.decoded == 2
     assert stats.skipped_non_dns == 4
-    assert [r.role for r in records] == ["query", "response"]
+    assert [r.message.is_response for r in records] == [False, True]
     assert records[0].timestamp <= records[1].timestamp
     assert records[0].flow == records[1].flow  # symmetric 5-tuple
     pairs = pair_queries_responses(records)
@@ -310,7 +310,7 @@ def test_ingest_pcap_swapped_and_v6():
     records, stats = _ingest(build_pcap(frames, swapped=True))
     assert stats.decoded == 2
     assert stats.ipv6_extension_headers == 1
-    assert records[0].role == "query"
+    assert not records[0].message.is_response
 
 
 def test_ingest_pcap_mdns_port():

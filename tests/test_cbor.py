@@ -95,6 +95,36 @@ def test_infinities_smallest():
     assert encode(Float(-math.inf), SMALLEST).hex() == "f9fc00"
 
 
+_PREFERRED_WIDTHS = (8, 16, 32, 48, 64, 128)
+
+
+@pytest.mark.parametrize(
+    "value,smallest_width,preserve,smallest,double",
+    [
+        (1.5, 16, ("f93e00", "f93e00", "fa3fc00000") + ("fb3ff8000000000000",) * 3,
+         "f93e00", "fb3ff8000000000000"),
+        (100000.0, 32, ("fa47c35000",) * 3 + ("fb40f86a0000000000",) * 3,
+         "fa47c35000", "fb40f86a0000000000"),
+        (0.1, 64, ("fb3fb999999999999a",) * 6, "fb3fb999999999999a", "fb3fb999999999999a"),
+        (-0.0, 16, ("f98000", "f98000", "fa80000000") + ("fb8000000000000000",) * 3,
+         "f98000", "fb8000000000000000"),
+        (math.inf, 16, ("f97c00", "f97c00", "fa7f800000") + ("fb7ff0000000000000",) * 3,
+         "f97c00", "fb7ff0000000000000"),
+        (math.nan, 16, ("f97e00",) * 6, "f97e00", "f97e00"),
+    ],
+    ids=["half", "single", "double", "neg-zero", "inf", "nan"],
+)
+def test_float_bytes_by_mode_and_preferred_width(value, smallest_width, preserve, smallest, double):
+    # ``preserve`` holds one encoding per width in _PREFERRED_WIDTHS: the
+    # narrowest exact width not below the preferred one, else 64 bits.
+    assert smallest_float_width(value) == smallest_width
+    for width, want in zip(_PREFERRED_WIDTHS, preserve, strict=True):
+        item = Float(value, width)
+        assert encode(item).hex() == want
+        assert encode(item, SMALLEST).hex() == smallest
+        assert encode(item, DOUBLE).hex() == double
+
+
 def test_decode_goldens():
     assert decode(bytes.fromhex("0c")) == (Uint(12), 1)
     item, used = decode(bytes.fromhex("3901f3"))

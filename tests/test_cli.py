@@ -60,6 +60,42 @@ def test_cbor_decode_sequence(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["12", '"Hello!"']
 
 
+@pytest.mark.parametrize(
+    "action,data,shown",
+    [
+        ("decode", "0ca2616101616282f93e00f6", '12\n{"a": 1, "b": [1.5, null]}\n'),
+        ("diag", "a2616101616282f93e00f6", '{"a": 1, "b": [1.5, null]}\n'),
+    ],
+    ids=["decode", "diag"],
+)
+def test_cbor_out_holds_what_stdout_shows(tmp_path, capsys, action, data, shown):
+    blob = tmp_path / "item.bin"
+    blob.write_bytes(bytes.fromhex(data))
+    assert run(["cbor", action, "--in", str(blob)]) == 0
+    assert capsys.readouterr().out == shown
+    out = tmp_path / "item.txt"
+    assert run(["cbor", action, "--in", str(blob), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == shown
+
+
+_BINARY_IO = [["cbor", "encode"], ["cbor", "decode"], ["cbor", "diag"], ["json", "to-cbor"],
+              ["json", "from-cbor"], ["json", "blob-transform", "--step", "bstr"],
+              ["dns", "to-cbor", "--role", "r"], ["dns", "from-cbor", "--role", "r"]]
+_TEXT_IO = [["json", "minify"], ["json", "analyze"], ["dns", "compare"], ["dns", "suffix-stats"],
+            ["pcap", "extract"]]
+
+
+def test_hex_only_where_binary_io_is_read(tmp_path, capsys):
+    absent = str(tmp_path / "absent")
+    for command in _BINARY_IO:
+        assert run(command + ["--in", absent, "--hex"]) == 1, command  # parsed, then no file
+    capsys.readouterr()
+    for command in _TEXT_IO:
+        assert run(command + ["--in", absent, "--hex"]) == 2, command
+        assert "unrecognized arguments: --hex" in capsys.readouterr().err
+
+
 def test_cbor_malformed_input_is_exit_1(tmp_path):
     blob = tmp_path / "bad.bin"
     blob.write_bytes(b"\x1c")

@@ -14,6 +14,7 @@ from cborkit.dnswire import (
     BadPointerTarget,
     CLASS_IN,
     DnsMessage,
+    DnsWireError,
     FieldOverflow,
     LabelOverflow,
     Name,
@@ -207,6 +208,33 @@ def test_pointer_loop_rejected():
         decode_wire(struct.pack(">HHHHHH", 0, 0, 2, 0, 0, 0) + data[12:])
 
 
+def _pointer_chain_message(chain: int, owners: int) -> bytes:
+    """A response whose TXT rdata holds the name "a" and then ``chain``
+    pointers, each to the one before, followed by ``owners`` records without
+    rdata whose owner points at the last one: ``chain + 1`` pointers each."""
+    start = 12 + 1 + 10  # the header, then the TXT record's root owner and fields
+    chain_bytes = bytearray(b"\x01a\x00")
+    previous = start
+    for _ in range(chain):
+        chain_bytes += struct.pack(">H", 0xC000 | previous)
+        previous = start + len(chain_bytes) - 2
+    txt = b"\x00" + struct.pack(">HHIH", TYPE_TXT, CLASS_IN, 0, len(chain_bytes)) + chain_bytes
+    owner = struct.pack(">HHHIH", 0xC000 | previous, TYPE_A, CLASS_IN, 0, 0)
+    return struct.pack(">HHHHHH", 0, 0x8180, 0, 1 + owners, 0, 0) + txt + owner * owners
+
+
+def test_pointer_hops_are_bounded():
+    # 127 pointers, as many as a 255-byte name has labels, still decode.
+    assert decode_wire(_pointer_chain_message(126, 1)).answers[1].name == Name((b"a",))
+    with pytest.raises(PointerLoop):
+        decode_wire(_pointer_chain_message(127, 1))
+    # Unbounded, each of the 4,096 owners would walk all 8,178 pointers.
+    wire = _pointer_chain_message(8177, 4096)
+    assert len(wire) <= 0xFFFF
+    with pytest.raises(PointerLoop):
+        decode_wire(wire)
+
+
 def test_pointer_into_header_rejected():
     head = struct.pack(">HHHHHH", 0, 0, 1, 0, 0, 0)
     with pytest.raises(BadPointerTarget):
@@ -271,6 +299,32 @@ def test_name_text_escaping():
     assert name.to_text() == "a\\\\"
     assert Name.from_text(name.to_text() + ".") == name
     assert Name.from_text("a\\.").labels == (b"a.",)
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("a\\\\.", (b"a\\",)),  # an escaped backslash, then the final dot
+        ("a\\\\\\.", (b"a\\.",)),  # an escaped backslash, then an escaped dot
+        ("a\\.b.", (b"a.b",)),
+        ("\\065b", (b"Ab",)),
+        ("\\12x", (b"12x",)),  # fewer than three digits escape one character
+        ("é\\065.x.", (b"\xc3\xa9A", b"x")),
+        ("\\256", DnsWireError),
+        ("a\\", DnsWireError),  # a trailing lone backslash
+        ("a..b", LabelOverflow),
+        (".a", LabelOverflow),
+        ("\ud800.com", UnicodeEncodeError),
+        ("a\\\ud800", UnicodeEncodeError),
+    ],
+)
+def test_name_from_text_edge_cases(text, expected):
+    if isinstance(expected, tuple):
+        assert Name.from_text(text).labels == expected
+    else:
+        with pytest.raises(expected) as caught:
+            Name.from_text(text)
+        assert type(caught.value) is expected
 
 
 # Labels built to reach both parsing paths of ``Name.from_text``: the
