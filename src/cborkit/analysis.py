@@ -222,10 +222,9 @@ def compare_modes(
 
 
 class Record(NamedTuple):
-    """One ingested message; a pcap also gives its time and UDP flow."""
+    """One ingested message; a pcap also gives its UDP flow."""
 
     message: DnsMessage
-    timestamp: float | None = None
     flow: frozenset | None = None  # {(ip bytes, port), (ip bytes, port)}
 
 
@@ -282,9 +281,7 @@ def ingest_pcap(data: bytes) -> tuple[list[Record], PcapStats]:
     stats = PcapStats()
     pos = 24
     while pos + 16 <= len(data):
-        ts_sec, ts_usec, incl_len, _ = struct.unpack(
-            endian + "IIII", data[pos : pos + 16]
-        )
+        incl_len = struct.unpack_from(endian + "I", data, pos + 8)[0]
         pos += 16
         if pos + incl_len > len(data):
             break
@@ -302,13 +299,7 @@ def ingest_pcap(data: bytes) -> tuple[list[Record], PcapStats]:
             stats.decode_errors += 1
             continue
         stats.decoded += 1
-        records.append(
-            Record(
-                msg,
-                ts_sec + ts_usec / 1e6,
-                flow,
-            )
-        )
+        records.append(Record(msg, flow))
     return records, stats
 
 

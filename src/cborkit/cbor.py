@@ -334,6 +334,16 @@ def decode(data: bytes) -> tuple[CborItem, int]:
     return _decode_item(bytes(data), 0, DEFAULT_MAX_DEPTH, False)
 
 
+def decode_sequence(data: bytes) -> list[CborItem]:
+    """Every item of a CBOR sequence (RFC 8742), each read in place."""
+    data = bytes(data)
+    items, pos = [], 0
+    while pos < len(data):
+        item, pos = _decode_item(data, pos, DEFAULT_MAX_DEPTH, False)
+        items.append(item)
+    return items
+
+
 def _truncated(need: int, pos: int, end: int) -> Truncated:
     return Truncated("need %d bytes at offset %d, have %d" % (need, pos, end - pos))
 

@@ -14,7 +14,6 @@ import io
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import analysis, cbor, dnscbor, dnspacked, jsonbridge, taxonomy
@@ -50,33 +49,17 @@ def _report_skip(label: str, failure: str) -> None:
     print("%s skipped: %s" % (label, failure), file=sys.stderr)
 
 
-def _guarded(fn, arg) -> tuple[bool, object]:
-    # Text, not the exception, crosses back from a worker: not every exception unpickles.
-    try:
-        return True, fn(arg)
-    except Exception as exc:  # one bad input never ends the run
-        return False, _failure(exc)
-
-
-def _run_batch(fn, inputs: list, noun: str, labels: list[str] | None = None, parallel: int = 1) -> dict:
-    """Map ``fn`` over ``inputs`` in order, in ``parallel`` worker processes if
-    more than one; return {input index: result} for the inputs that did not
-    raise.  Each one that did is named on stderr (by its label, else by noun
-    and index) with its exception class, and a last line counts them."""
-    guarded = functools.partial(_guarded, fn)
-    if parallel > 1:
-        # About four chunks per worker: few IPC round trips, even load.
-        chunksize = max(1, len(inputs) // (4 * parallel))
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(guarded, inputs, chunksize=chunksize))
-    else:
-        outcomes = map(guarded, inputs)
+def _run_batch(fn, inputs: list, noun: str, labels: list[str] | None = None) -> dict:
+    """Map ``fn`` over ``inputs`` in order; return {input index: result} for
+    the inputs that did not raise.  Each one that did is named on stderr (by
+    its label, else by noun and index) with its exception class, and a last
+    line counts them."""
     results = {}
-    for index, (ok, value) in enumerate(outcomes):
-        if ok:
-            results[index] = value
-        else:
-            _report_skip(labels[index] if labels else "%s %d" % (noun, index), value)
+    for index, arg in enumerate(inputs):
+        try:
+            results[index] = fn(arg)
+        except Exception as exc:  # one bad input never ends the run
+            _report_skip(labels[index] if labels else "%s %d" % (noun, index), _failure(exc))
     if len(results) < len(inputs):
         print("%d %s(s) skipped" % (len(inputs) - len(results), noun), file=sys.stderr)
     return results
@@ -159,14 +142,8 @@ def _cmd_cbor_encode(args) -> int:
 
 
 def _cmd_cbor_decode(args) -> int:
-    data = _load_cbor_input(args.infile, args.hex)
-    lines = []
-    offset = 0
-    while offset < len(data):
-        item, consumed = cbor.decode(data[offset:])
-        lines.append(cbor.to_diagnostic(item) + "\n")
-        offset += consumed
-    _write_text("".join(lines), args.out)
+    items = cbor.decode_sequence(_load_cbor_input(args.infile, args.hex))
+    _write_text("".join(cbor.to_diagnostic(item) + "\n" for item in items), args.out)
     return 0
 
 
@@ -289,16 +266,12 @@ def _load_corpus(path: str):
     return records
 
 
-def _compare_one(task):
-    return analysis.compare_modes(*task)
-
-
 def _cmd_dns_compare(args) -> int:
     records = _load_corpus(args.infile)
     pairs = analysis.pair_queries_responses(records)
     request_for = {id(response): query.message for query, response in pairs if query}
-    tasks = [(record.message, request_for.get(id(record)), args.query_answers) for record in records]
-    rows = _run_batch(_compare_one, tasks, "message", parallel=args.parallel)
+    rows = _run_batch(lambda record: analysis.compare_modes(
+        record.message, request_for.get(id(record)), args.query_answers), records, "message")
     for index, row in rows.items():
         if row.skipped is not None:
             modes = "/".join(mode for mode in analysis.MODES if mode not in row.sizes)
@@ -468,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = dns_sub.add_parser("compare", help="per-message size comparison CSV")
     _add_io(p, binary=False)
     p.add_argument("--query-answers", action="store_true")
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
     p.set_defaults(func=_cmd_dns_compare)
     p = dns_sub.add_parser("suffix-stats", help="pairwise name/address statistics CSV")
     _add_io(p, binary=False)

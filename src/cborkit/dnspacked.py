@@ -2,7 +2,7 @@
 
 The packer works on originals, not tree positions: an original is a
 distinct string or wide integer (two encoded bytes or more), keyed by
-type and value, and its group is every position holding a copy.  Every
+type and value, and its group counts its copies.  Every
 candidate that holds one copy holds all (a suffix every text ending in
 it, a whole value every equal value, a prefix every byte string starting
 with it), so one admission rewrites a whole group, and each group is
@@ -20,8 +20,8 @@ net saving stays positive,
              - table entry size,
 
 largest saving first, ties broken by first occurrence in preorder; a
-rewritten string never gets rewritten again.  ``_rebuild`` puts the
-references at the rewritten groups' positions: whole values become
+rewritten string never gets rewritten again.  ``_rebuild`` rewrites
+every copy of a rewritten original, found by its key: whole values become
 ``Simple(i)`` (or tag 6 above index 15), suffixes ``tag 216 [head, i]``,
 prefixes ``tag 217 [i, tail]``.  The envelope ``tag 113 [table, rump]``
 is emitted even when the table is empty, so the no-redundancy penalty is
@@ -130,21 +130,22 @@ class PackedEnvelope:
 
 
 class _Group:
-    """One original and the positions of its copies."""
+    """One original, its copy count, and the rank of its first occurrence
+    among the groups in preorder."""
 
-    __slots__ = ("item", "positions", "length")
+    __slots__ = ("item", "count", "rank", "length")
 
-    def __init__(self, item: CborItem, pos: int):
+    def __init__(self, item: CborItem, rank: int):
         self.item = item
-        self.positions = [pos]
+        self.count = 1
+        self.rank = rank
         self.length = -1  # payload bytes, taken when a string candidate prices it
 
 
-def _collect(nodes, pos: int, groups: dict[object, _Group]) -> int:
-    """Preorder walk of ``nodes``, the first at position ``pos + 1``, into
-    ``groups`` keyed by value (negative for Nint); returns the last position."""
+def _collect(nodes, groups: dict[object, _Group]) -> None:
+    """Preorder walk of ``nodes`` into ``groups`` keyed by value (negative
+    for Nint)."""
     for node in nodes:
-        pos += 1
         kind = type(node)
         # Scalars whose encoding is 2 bytes or more: a non-empty string, or
         # an integer whose argument does not fit the initial byte.
@@ -158,22 +159,21 @@ def _collect(nodes, pos: int, groups: dict[object, _Group]) -> int:
                 continue
         else:
             if kind is Array:
-                pos = _collect(node.items, pos, groups)
+                _collect(node.items, groups)
             elif kind is Map:
-                pos = _collect([part for entry in node.entries for part in entry], pos, groups)
+                _collect([part for entry in node.entries for part in entry], groups)
             elif kind is Tag:
                 if node.number in _REFERENCE_TAGS:
                     raise AlreadyPacked("input holds reference tag %d" % node.number)
-                pos = _collect((node.content,), pos, groups)
+                _collect((node.content,), groups)
             elif kind is Simple and node.value < SIMPLE_REF_LIMIT:
                 raise AlreadyPacked("input holds reference simple value %d" % node.value)
             continue
         group = groups.get(key)
         if group is None:
-            groups[key] = _Group(node, pos)
+            groups[key] = _Group(node, len(groups))
         else:
-            group.positions.append(pos)
-    return pos
+            group.count += 1
 
 
 def _payload_len(string: CborItem) -> int:
@@ -192,14 +192,15 @@ class _Candidate:
         self.groups = groups
 
     def order_key(self) -> tuple:
-        # Earliest occurrence, then kind, then the entry's encoding.  Within
-        # one kind the entries share a major type, and shortest-form heads
-        # grow with the length, so the encodings order as (payload length,
-        # payload).  Whole values never share a first position.
+        # Earliest first occurrence (ranks order groups as their first
+        # positions do), then kind, then the entry's encoding.  Within one
+        # kind the entries share a major type, and shortest-form heads grow
+        # with the length, so the encodings order as (payload length,
+        # payload).  Whole values never share a rank.
         data = getattr(self.entry, "data", b"")
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
-        return (min(group.positions[0] for group in self.groups), self.kind, len(data), data)
+        return (min(group.rank for group in self.groups), self.kind, len(data), data)
 
     def price(self) -> None:
         """Per group, the bytes a reference to one copy saves before paying
@@ -207,7 +208,7 @@ class _Candidate:
         self.entry_size = cbor.item_size(self.entry)
         if self.kind == "value":
             self.gains = [self.entry_size]
-            self.total_live = len(self.groups[0].positions)
+            self.total_live = self.groups[0].count
             self.total_gain = self.entry_size * self.total_live
         else:
             # tag [head, index] or tag [index, tail]: the tag's head, the
@@ -223,9 +224,8 @@ class _Candidate:
                     n = group.length = _payload_len(group.item)
                 gain = shared + cbor.head_size(n) - cbor.head_size(n - shared) - fixed
                 self.gains.append(gain)
-                count = len(group.positions)
-                total += gain * count
-                live += count
+                total += gain * group.count
+                live += group.count
             self.total_gain, self.total_live = total, live
 
     def saving(self, index_bytes: dict[str, int]) -> int:
@@ -261,10 +261,10 @@ def _common_prefix_len(a: bytes, b: bytes) -> int:
 
 def _candidates(item: CborItem, mode: str) -> list[_Candidate]:
     groups: dict[object, _Group] = {}
-    _collect((item,), -1, groups)
+    _collect((item,), groups)
     out: list[_Candidate] = []
     if mode == PACKED_FULL:
-        out += [_Candidate("value", g.item, [g]) for g in groups.values() if len(g.positions) >= 2]
+        out += [_Candidate("value", g.item, [g]) for g in groups.values() if g.count >= 2]
     suffixes: dict[str, list[_Group]] = {}  # each distinct text split once
     for group in groups.values():
         if type(group.item) is Text:
@@ -274,7 +274,7 @@ def _candidates(item: CborItem, mode: str) -> list[_Candidate]:
                 suffixes.setdefault(text[start:], []).append(group)
                 start = text.find(".", start) + 1 or len(text)
     for suffix, holding in suffixes.items():
-        if len(holding) >= 2 or len(holding[0].positions) >= 2:
+        if len(holding) >= 2 or holding[0].count >= 2:
             out.append(_Candidate("suffix", Text(suffix), holding))
     if mode == PACKED_FULL:
         # In sorted order the longest common prefix of any two strings is
@@ -285,7 +285,7 @@ def _candidates(item: CborItem, mode: str) -> list[_Candidate]:
         strings = sorted((g.item.data, g) for g in groups.values()
                          if type(g.item) is Bytes and len(g.item.data) >= MIN_PREFIX_LEN)
         datas = [data for data, _ in strings]
-        prefixes = {data for data, group in strings if len(group.positions) >= 2}
+        prefixes = {data for data, group in strings if group.count >= 2}
         for a, b in zip(datas, datas[1:]):
             n = _common_prefix_len(a, b)
             if n >= MIN_PREFIX_LEN:
@@ -360,11 +360,10 @@ def _select(candidates: list[_Candidate]) -> tuple[list[_Admission], dict[_Group
             if group in rewrites:
                 continue
             rewrites[group] = admission
-            count = len(group.positions)
             for other, gain in holders[group]:
                 holder = candidates[other]
-                holder.gain_sum -= gain * count
-                holder.live -= count
+                holder.gain_sum -= gain * group.count
+                holder.live -= group.count
                 if gain < index_bytes[holder.kind]:
                     risen.add(other)
         for other in risen:
@@ -378,8 +377,8 @@ def pack(item: CborItem, mode: str = PACKED_FULL) -> PackedEnvelope:
         raise DnsPackedError("unknown packing mode %r" % mode)
     admissions, rewrites = _select(_candidates(item, mode))
     table = [admission.cand.entry for admission in admissions]
-    at = {pos: admission for group, admission in rewrites.items() for pos in group.positions}
-    return PackedEnvelope(table, _rebuild(item, at, [0]))
+    by_key = {getattr(g.item, "data", None) or g.item.value: a for g, a in rewrites.items()}
+    return PackedEnvelope(table, _rebuild(item, by_key))
 
 
 # tag 113 [table, rump]: the tag's head and the two-element array's head.
@@ -405,24 +404,26 @@ def packed_sizes(item: CborItem, plain_size: int) -> dict[str, int]:
     return sizes
 
 
-def _rebuild(item: CborItem, rewrites: dict[int, _Admission], counter: list[int]) -> CborItem:
-    pos = counter[0]
-    counter[0] += 1
-    admission = rewrites.get(pos)
-    if admission is not None:  # only leaves are rewritten
-        return _reference_item(admission.cand, item, admission.index)
-    if isinstance(item, Array):
-        return Array([_rebuild(c, rewrites, counter) for c in item.items])
-    if isinstance(item, Map):
+def _rebuild(item: CborItem, rewrites: dict[object, _Admission]) -> CborItem:
+    kind = type(item)
+    if kind is Array:
+        return Array([_rebuild(c, rewrites) for c in item.items])
+    if kind is Map:
         return Map(
             [
-                (_rebuild(k, rewrites, counter), _rebuild(v, rewrites, counter))
+                (_rebuild(k, rewrites), _rebuild(v, rewrites))
                 for k, v in item.entries
             ]
         )
-    if isinstance(item, Tag):
-        return Tag(item.number, _rebuild(item.content, rewrites, counter))
-    return item
+    if kind is Tag:
+        return Tag(item.number, _rebuild(item.content, rewrites))
+    if kind is Text or kind is Bytes:
+        admission = rewrites.get(item.data)
+    elif kind is Uint or kind is Nint:
+        admission = rewrites.get(item.value)
+    else:
+        return item
+    return item if admission is None else _reference_item(admission.cand, item, admission.index)
 
 
 def unpack(env: PackedEnvelope) -> CborItem:

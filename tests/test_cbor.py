@@ -34,6 +34,7 @@ from cborkit.cbor import (
     Uint,
     Undefined,
     decode,
+    decode_sequence,
     encode,
     head,
     head_size,
@@ -146,6 +147,14 @@ def test_decode_returns_consumed_for_sequences():
     assert item == Uint(12) and used == 1
     item, used = decode(data[used:])
     assert item == Text("Hello!") and used == 7
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2**31), max_size=8))
+def test_decode_sequence_is_each_item_in_turn(seeds):
+    items = [random_item(random.Random(seed), 3) for seed in seeds]
+    data = b"".join(encode(item) for item in items)
+    assert decode_sequence(data) == [decode(encode(item))[0] for item in items]
 
 
 def test_float_decode_widths():

@@ -2,6 +2,8 @@ import contextlib
 import io
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_pcap, build_udp_frame, random_message
+import cborkit
 from cborkit import analysis, cbor
 from cborkit.cli import FLOAT_MODES, run
 from cborkit.dnscbor import CodecContext, ROLE_QUERY
@@ -58,6 +61,24 @@ def test_cbor_decode_sequence(tmp_path, capsys):
     blob.write_bytes(b"\x0c" + bytes.fromhex("6648656c6c6f21"))
     assert run(["cbor", "decode", "--in", str(blob)]) == 0
     assert capsys.readouterr().out.splitlines() == ["12", '"Hello!"']
+
+
+@pytest.mark.parametrize(
+    "data,code,out,err",
+    [
+        ("", 0, "\n", ""),
+        ("0c6648656c6c6f2182f6f5a1613820f97e00", 0,
+         '12\n"Hello!"\n[null, true]\n{"8": -1}\nNaN\n', ""),
+        ("0c6648656c6c6f2182f6", 1, "", "error: need 1 bytes at offset 10, have 0\n"),
+        ("0c6648656cff", 1, "", "error: need 6 bytes at offset 2, have 4\n"),
+    ],
+    ids=["empty", "five-items", "truncated-third-item", "truncated-second-item"],
+)
+def test_cbor_decode_prints_every_item_or_nothing(tmp_path, capsys, data, code, out, err):
+    blob = tmp_path / "seq.bin"
+    blob.write_bytes(bytes.fromhex(data))
+    assert run(["cbor", "decode", "--in", str(blob)]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 @pytest.mark.parametrize(
@@ -219,18 +240,6 @@ def test_dns_compare_csv(tmp_path):
     assert lines[2].startswith("response,1,")  # paired via id+question
 
 
-def test_dns_compare_parallel_matches_serial(tmp_path):
-    rng = random.Random(2)
-    corpus = tmp_path / "corpus.hex"
-    corpus.write_text("".join(encode_wire(random_message(rng)).hex() + "\n" for _ in range(12)))
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert run(["dns", "compare", "--in", str(corpus), "--out", str(serial)]) == 0
-    assert run(["dns", "compare", "--in", str(corpus), "--out", str(parallel),
-                "--parallel", "2"]) == 0
-    assert serial.read_text() == parallel.read_text()
-
-
 def test_dns_suffix_stats(tmp_path):
     corpus = tmp_path / "corpus.hex"
     corpus.write_text(encode_wire(cname_referral_response()).hex() + "\n")
@@ -280,6 +289,21 @@ def test_usage_errors_exit_2():
     assert run(["dns"]) == 2
     assert run(["dns", "to-cbor", "--in", "x"]) == 2  # missing --role
     assert run(["bench", "--target", "nope"]) == 2
+    assert run(["dns", "compare", "--in", "x", "--parallel", "2"]) == 2  # no such option
+
+
+def test_no_module_loads_a_process_pool():
+    # Every run is one process: nothing should pay for the pool machinery.
+    probe = (
+        "import importlib, pkgutil, sys, cborkit\n"
+        "for info in pkgutil.iter_modules(cborkit.__path__):\n"
+        "    importlib.import_module('cborkit.' + info.name)\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    src = str(Path(cborkit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_missing_file_exit_1(tmp_path):
@@ -287,28 +311,24 @@ def test_missing_file_exit_1(tmp_path):
     assert run(["dns", "compare", "--in", str(tmp_path / "absent"), "--out", "x"]) == 1
 
 
-def test_dns_compare_parallel_chunks_keep_row_order(tmp_path, capsys):
+def test_dns_compare_keeps_row_order_around_a_skipped_message(tmp_path, capsys):
     rng = random.Random(9)
     lines = [encode_wire(random_message(rng)).hex() for _ in range(60)]
     two_questions = DnsMessage(7, 0x0100, [
         Question(Name.from_text("a.org"), TYPE_A, CLASS_IN),
         Question(Name.from_text("b.org"), TYPE_A, CLASS_IN),
     ])
+    without = tmp_path / "without.hex"
+    without.write_text("\n".join(lines) + "\n")
+    assert run(["dns", "compare", "--in", str(without), "--out", str(tmp_path / "without.csv")]) == 0
     lines.insert(25, encode_wire(two_questions).hex())  # skipped: one question required
     corpus = tmp_path / "corpus.hex"
     corpus.write_text("\n".join(lines) + "\n")
-    outputs, errors = [], []
-    for workers in ("1", "2"):
-        out = tmp_path / ("w%s.csv" % workers)
-        assert run(["dns", "compare", "--in", str(corpus), "--out", str(out),
-                    "--parallel", workers]) == 0
-        err = capsys.readouterr().err
-        assert "message 25 skipped" in err
-        errors.append(err)
-        outputs.append(out.read_text())
-    assert outputs[0] == outputs[1]
-    assert errors[0] == errors[1]
-    assert len(outputs[0].splitlines()) == 1 + 60
+    out = tmp_path / "report.csv"
+    assert run(["dns", "compare", "--in", str(corpus), "--out", str(out)]) == 0
+    assert "message 25 skipped" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 1 + 60
+    assert out.read_text() == (tmp_path / "without.csv").read_text()
 
 
 def _compare_with_fourth_message_raising(tmp_path, monkeypatch, exc):
@@ -329,7 +349,7 @@ def _compare_with_fourth_message_raising(tmp_path, monkeypatch, exc):
 
     monkeypatch.setattr(analysis, "compare_modes", failing_on_the_fourth)
     out = tmp_path / "report.csv"
-    assert run(["dns", "compare", "--in", str(corpus), "--out", str(out), "--parallel", "1"]) == 0
+    assert run(["dns", "compare", "--in", str(corpus), "--out", str(out)]) == 0
     return full.read_text().splitlines(), out.read_text().splitlines()
 
 
@@ -366,20 +386,18 @@ def test_dns_compare_skips_the_component_modes_of_a_label_that_is_not_utf8(tmp_p
     ctx = CodecContext(ROLE_QUERY)
     want = {mode: str(len(analysis.encode_in_mode(odd, ctx, mode).data))
             for mode in ("unpacked", "packedlite", "packedfull")}
-    for workers in ("1", "2"):
-        out = tmp_path / ("w%s.csv" % workers)
-        assert run(["dns", "compare", "--in", str(corpus), "--out", str(out),
-                    "--parallel", workers]) == 0
-        rows = out.read_text().splitlines()
-        assert rows[:3] + rows[4:] == good_rows
-        row = dict(zip(analysis.CSV_COLUMNS, rows[3].split(",")))
-        assert row["classic_size"] == str(len(encode_wire(odd)))
-        assert {mode: row[mode + "_size"] for mode in want} == want
-        assert [row["%s_%s" % (mode, col)] for mode in ("compref10", "compref11")
-                for col in ("size", "b", "g")] == [""] * 6
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("message 2 compref10/compref11 skipped: TypeMismatch: ")
+    out = tmp_path / "report.csv"
+    assert run(["dns", "compare", "--in", str(corpus), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[:3] + rows[4:] == good_rows
+    row = dict(zip(analysis.CSV_COLUMNS, rows[3].split(",")))
+    assert row["classic_size"] == str(len(encode_wire(odd)))
+    assert {mode: row[mode + "_size"] for mode in want} == want
+    assert [row["%s_%s" % (mode, col)] for mode in ("compref10", "compref11")
+            for col in ("size", "b", "g")] == [""] * 6
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("message 2 compref10/compref11 skipped: TypeMismatch: ")
 
 
 def test_dns_compare_names_bad_hex_lines_in_the_skip_form(tmp_path, capsys):
