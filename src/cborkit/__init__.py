@@ -1,7 +1,5 @@
 """cborkit: CBOR and compact DNS message codecs with size analysis tools."""
 
-from . import analysis, cbor, cli, dnscbor, dnspacked, dnswire, jsonbridge, taxonomy
-
 __version__ = "0.1.0"
 
 __all__ = [

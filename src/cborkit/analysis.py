@@ -8,7 +8,7 @@ import csv
 import io
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
 from . import cbor, dnscbor, dnspacked
@@ -175,15 +175,16 @@ class ModeComparison:
 def encode_in_mode(msg: DnsMessage, ctx: CodecContext, mode: str) -> dnscbor.EncodedMessage:
     """Encode ``msg`` in one of ``MODES``; ``data`` holds the mode's bytes
     and ``item`` the unpacked item."""
-    ctx.mode, pack_mode = MODES[mode]
-    encoded = dnscbor.encode_message(msg, ctx)
+    ref, pack_mode = MODES[mode]
+    encoded = dnscbor.encode_message(msg, replace(ctx, mode=ref))
     if pack_mode is not None:
         encoded.data = dnspacked.pack(encoded.item, pack_mode).encode()
     return encoded
 
 
 def decode_in_mode(data: bytes, ctx: CodecContext, mode: str) -> DnsMessage:
-    ctx.mode, pack_mode = MODES[mode]
+    ref, pack_mode = MODES[mode]
+    ctx = replace(ctx, mode=ref)
     if pack_mode is None:
         return dnscbor.decode_message(data, ctx)
     item = dnspacked.unpack(dnspacked.PackedEnvelope.from_bytes(data))

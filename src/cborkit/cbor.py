@@ -328,7 +328,7 @@ _ARG_BYTES = {24: 1, 25: 2, 26: 4, 27: 8}
 
 def decode(data: bytes) -> tuple[CborItem, int]:
     """Decode one item; returns (item, bytes consumed) so callers can
-    parse CBOR sequences.  Never reads past the input."""
+    reject trailing bytes.  Never reads past the input."""
     if not data:
         raise Truncated("empty input")
     return _decode_item(bytes(data), 0, DEFAULT_MAX_DEPTH, False)

@@ -116,8 +116,8 @@ def _write_item(item: cbor.CborItem, args) -> None:
     _write_output(cbor.encode(item, EncodeOptions(float_mode=args.float_mode)), args.out, args.hex)
 
 
-def _report_flags(report: jsonbridge.ConversionReport) -> None:
-    for flag in report.flags:
+def _report_flags(report: list[str]) -> None:
+    for flag in report:
         print("note: %s" % flag, file=sys.stderr)
 
 
@@ -154,7 +154,7 @@ def _cmd_cbor_diag(args) -> int:
 
 
 def _cmd_json_to_cbor(args) -> int:
-    report = jsonbridge.ConversionReport()
+    report: list[str] = []
     value = jsonbridge.parse_json(_read_text(args.infile))
     item = jsonbridge.json_to_cbor(value, args.float_mode, report)
     _report_flags(report)
@@ -164,7 +164,7 @@ def _cmd_json_to_cbor(args) -> int:
 
 def _cmd_json_from_cbor(args) -> int:
     item = _decode_one(_load_cbor_input(args.infile, args.hex))
-    report = jsonbridge.ConversionReport()
+    report: list[str] = []
     value = jsonbridge.cbor_to_json(item, report)
     _report_flags(report)
     _write_text(jsonbridge.minify(value), args.out)
@@ -182,7 +182,7 @@ def _cmd_json_blob(args) -> int:
         item = jsonbridge.json_to_cbor(value, args.float_mode)
     else:
         item = _decode_one(_load_cbor_input(args.infile, args.hex))
-    report = jsonbridge.ConversionReport()
+    report: list[str] = []
     if args.step == "tag34":
         item = jsonbridge.blob_tag_base64(item)
     elif args.step == "bstr":

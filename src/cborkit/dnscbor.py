@@ -101,16 +101,13 @@ class ComponentRef:
         return cls(REF_TAG_1PLUS1)
 
 
-CompressionMode = ComponentRef | None
-
-
 @dataclass
 class CodecContext:
     role: str = ROLE_QUERY
     request_question: Question | None = None
     allow_query_answers: bool = False
     structured_rdata: bool = True
-    mode: CompressionMode = None
+    mode: ComponentRef | None = None
 
     @property
     def default_flags(self) -> int:

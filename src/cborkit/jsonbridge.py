@@ -87,20 +87,6 @@ class JsonObject:
 JsonValue = Union[None, bool, JsonNumber, str, list, JsonObject]
 
 
-@dataclass
-class ConversionReport:
-    """Loss flags accumulated by the total bridge conversions."""
-
-    flags: list[str] = field(default_factory=list)
-
-    def add(self, message: str) -> None:
-        self.flags.append(message)
-
-    @property
-    def lossless(self) -> bool:
-        return not self.flags
-
-
 def _reject_constant(name: str):
     raise ValueError("non-standard constant %s" % name)
 
@@ -115,8 +101,7 @@ _DECODER = json.JSONDecoder(
 
 def parse_json(text: str | bytes) -> JsonValue:
     """Strict RFC 8259 parse; raises JsonSyntaxError with a byte offset."""
-    was_bytes = isinstance(text, (bytes, bytearray))
-    if was_bytes:
+    if isinstance(text, (bytes, bytearray)):
         try:
             source = bytes(text).decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -129,7 +114,7 @@ def parse_json(text: str | bytes) -> JsonValue:
     try:
         value, end = _DECODER.raw_decode(source, start)
     except json.JSONDecodeError as exc:
-        offset = len(source[: exc.pos].encode("utf-8")) if was_bytes else exc.pos
+        offset = len(source[: exc.pos].encode("utf-8", "surrogatepass"))
         raise JsonSyntaxError(exc.msg, offset) from exc
     except ValueError as exc:
         raise JsonSyntaxError(str(exc), 0) from exc
@@ -137,7 +122,7 @@ def parse_json(text: str | bytes) -> JsonValue:
         raise JsonSyntaxError("nested too deeply to parse", start) from exc
     rest = source[end:].strip(" \t\n\r")
     if rest:
-        offset = len(source[:end].encode("utf-8")) if was_bytes else end
+        offset = len(source[:end].encode("utf-8", "surrogatepass"))
         raise JsonSyntaxError("trailing data after JSON value", offset)
     return value
 
@@ -186,7 +171,7 @@ def _minify_into(parts: list[str], value: JsonValue) -> None:
 def json_to_cbor(
     value: JsonValue,
     float_mode: str = cbor.FLOAT_SMALLEST,
-    report: ConversionReport | None = None,
+    report: list[str] | None = None,
 ) -> CborItem:
     """Total conversion; numeric-precision losses are flagged, never raised.
 
@@ -202,7 +187,7 @@ def json_to_cbor(
 
 
 def _to_cbor(
-    value: JsonValue, float_mode: str, report: ConversionReport | None, depth: int
+    value: JsonValue, float_mode: str, report: list[str] | None, depth: int
 ) -> CborItem:
     # An object's keys sit at the level of its values, so checking every
     # value bounds the keys too.
@@ -220,7 +205,7 @@ def _to_cbor(
         for key, child in value.entries:
             if seen is not None:
                 if key in seen:
-                    report.add("duplicate object key %r kept" % key)
+                    report.append("duplicate object key %r kept" % key)
                 seen.add(key)
             entries.append((Text(key), _to_cbor(child, float_mode, report, depth - 1)))
         return Map(entries)
@@ -232,7 +217,7 @@ def _to_cbor(
 
 
 def _number_to_cbor(
-    number: JsonNumber, float_mode: str, report: ConversionReport | None
+    number: JsonNumber, float_mode: str, report: list[str] | None
 ) -> CborItem:
     if number.is_integer:
         v = int(number.lexeme)
@@ -241,7 +226,7 @@ def _number_to_cbor(
         if _INT_MIN <= v < 0:
             return Nint(-1 - v)
         if report is not None:
-            report.add("integer %s outside 64-bit range became a float" % number.lexeme)
+            report.append("integer %s outside 64-bit range became a float" % number.lexeme)
         try:
             f = float(v)
         except OverflowError:
@@ -252,7 +237,7 @@ def _number_to_cbor(
     return Float(f, width)
 
 
-def cbor_to_json(item: CborItem, report: ConversionReport | None = None) -> JsonValue:
+def cbor_to_json(item: CborItem, report: list[str] | None = None) -> JsonValue:
     """Reverse bridge; constructs JSON can't express are flagged in the report."""
     if isinstance(item, (Uint, Nint, Simple)):
         return JsonNumber(str(item.value))
@@ -270,12 +255,12 @@ def cbor_to_json(item: CborItem, report: ConversionReport | None = None) -> Json
             else:
                 k = cbor.to_diagnostic(key)
                 if report is not None:
-                    report.add("non-text map key rendered as %s" % k)
+                    report.append("non-text map key rendered as %s" % k)
             entries.append((k, cbor_to_json(value, report)))
         return JsonObject(entries)
     if isinstance(item, Tag):
         if report is not None:
-            report.add("tag %d unwrapped" % item.number)
+            report.append("tag %d unwrapped" % item.number)
         return cbor_to_json(item.content, report)
     if isinstance(item, Bool):
         return item.value
@@ -283,12 +268,12 @@ def cbor_to_json(item: CborItem, report: ConversionReport | None = None) -> Json
         return None
     if isinstance(item, Undefined):
         if report is not None:
-            report.add("undefined became null")
+            report.append("undefined became null")
         return None
     if isinstance(item, Float):
         if item.value != item.value or item.value in (float("inf"), float("-inf")):
             if report is not None:
-                report.add("non-finite float became null")
+                report.append("non-finite float became null")
             return None
         return JsonNumber(repr(item.value))
     raise JsonBridgeError("not a CBOR item: %r" % (item,))
@@ -371,7 +356,7 @@ def blob_to_bstr(blob: Map) -> Map:
 def blob_embed_cbor(
     blob: Map,
     float_mode: str = cbor.FLOAT_SMALLEST,
-    report: ConversionReport | None = None,
+    report: list[str] | None = None,
 ) -> Map:
     """Re-encode JSON payloads as embedded CBOR (tag 24).
 
@@ -385,7 +370,7 @@ def blob_embed_cbor(
         value = parse_json(content.data)
     except JsonSyntaxError as exc:
         if report is not None:
-            report.add("content is not JSON (%s); left unchanged" % exc)
+            report.append("content is not JSON (%s); left unchanged" % exc)
         return blob
     embedded = cbor.encode(json_to_cbor(value, float_mode, report))
     return _replace_content(blob, content_i, Tag(EMBEDDED_CBOR_TAG, Bytes(embedded)))

@@ -20,6 +20,7 @@ from cborkit.analysis import (
     common_suffix_bytes,
     common_suffix_components,
     compare_modes,
+    decode_in_mode,
     encode_in_mode,
     ingest_hex,
     ingest_pcap,
@@ -143,6 +144,18 @@ def test_compare_modes_skips_only_the_component_modes_of_a_label_that_is_not_utf
     assert isinstance(comparison.skipped, TypeMismatch)
     assert write_csv([comparison]).splitlines()[1].split(",")[6:12] == [""] * 6
     assert compare_modes(cname_referral_response()).skipped is None
+
+
+def test_mode_dispatch_leaves_the_callers_context_alone():
+    msg = cname_referral_response()
+    ctx = CodecContext(ROLE_RESPONSE)
+    plain = encode_message(msg, ctx).data
+    for mode in MODES:
+        data = encode_in_mode(msg, ctx, mode).data
+        assert ctx.mode is None, mode
+        assert decode_in_mode(data, ctx, mode) == msg
+        assert ctx.mode is None, mode
+        assert encode_message(msg, ctx).data == plain, mode
 
 
 def test_compare_modes_question_elision_via_request():

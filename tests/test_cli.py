@@ -306,6 +306,22 @@ def test_no_module_loads_a_process_pool():
     assert done.stdout == "[]\n"
 
 
+def test_package_root_imports_no_module(tmp_path):
+    # A codec import leaves the CLI unloaded, so ``-m cborkit.cli`` runs
+    # without the warning about a module already in sys.modules.
+    env = {"PYTHONPATH": str(Path(cborkit.__file__).resolve().parents[1])}
+    probe = ("import sys, cborkit.dnswire\n"
+             "print([m for m in ('cborkit.cli', 'argparse') if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+    infile = tmp_path / "item.cbor"
+    infile.write_bytes(bytes.fromhex("a1616101"))
+    command = ["-W", "error::RuntimeWarning", "-m", "cborkit.cli", "cbor", "diag", "--in", str(infile)]
+    done = subprocess.run([sys.executable, *command], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, '{"a": 1}\n', "")
+
+
 def test_missing_file_exit_1(tmp_path):
     assert run(["cbor", "diag", "--in", str(tmp_path / "absent.bin")]) == 1
     assert run(["dns", "compare", "--in", str(tmp_path / "absent"), "--out", "x"]) == 1

@@ -10,7 +10,6 @@ from cborkit import cbor
 from cborkit.cbor import Bytes, Map, Nint, Simple, Tag, Text, Uint, Undefined
 from cborkit.jsonbridge import (
     Base64Error,
-    ConversionReport,
     JsonBridgeError,
     JsonNumber,
     JsonObject,
@@ -47,9 +46,9 @@ def test_parse_duplicate_keys_preserved():
 
 def test_duplicate_keys_are_flagged_in_document_order():
     value = parse_json('{"a":1,"b":{"c":1e400,"c":2},"a":%d,"a":3}' % 2**64)
-    report = ConversionReport()
+    report = []
     assert json_to_cbor(value, report=report) == json_to_cbor(value)
-    assert report.flags == [
+    assert report == [
         "duplicate object key 'c' kept",
         "duplicate object key 'a' kept",
         "integer 18446744073709551616 outside 64-bit range became a float",
@@ -72,6 +71,18 @@ def test_parse_error_reports_byte_offset():
         assert False
     except JsonSyntaxError as exc:
         assert exc.offset == 7  # the '!' counted in bytes, not chars
+    # Text input reports the offset its UTF-8 bytes would.
+    cases = [
+        ('["é", x]', 7),  # the 'x'
+        ('["é", x]'.encode(), 7),
+        ('["☃"] 1', 7),  # trailing data after the array
+        ('["☃"] 1'.encode(), 7),
+        ('["\ud800", x]', 8),  # a lone surrogate counts as three bytes
+    ]
+    for source, offset in cases:
+        with pytest.raises(JsonSyntaxError) as caught:
+            parse_json(source)
+        assert caught.value.offset == offset, source
 
 
 def test_parse_rejects_nesting_too_deep_to_parse():
@@ -138,14 +149,14 @@ def test_json_to_cbor_goldens():
 
 
 def test_json_to_cbor_integer_overflow_flagged():
-    report = ConversionReport()
+    report = []
     item = json_to_cbor(parse_json(str(2**64)), report=report)
     assert isinstance(item, cbor.Float)
-    assert report.flags and not report.lossless
-    report = ConversionReport()
+    assert report
+    report = []
     assert json_to_cbor(parse_json(str(2**64 - 1)), report=report) == Uint(2**64 - 1)
     assert json_to_cbor(parse_json(str(-(2**64))), report=report) == Nint(2**64 - 1)
-    assert report.lossless
+    assert not report
 
 
 def test_cbor_to_json():
@@ -154,21 +165,21 @@ def test_cbor_to_json():
     payload = bytes(range(7))
     assert cbor_to_json(Bytes(payload)) == base64.urlsafe_b64encode(payload).rstrip(b"=").decode()
     assert cbor_to_json(Uint(12)) == JsonNumber("12")
-    report = ConversionReport()
+    report = []
     assert cbor_to_json(Tag(24, Bytes(b"hi")), report) == "aGk"
-    assert any("tag 24" in flag for flag in report.flags)
+    assert any("tag 24" in flag for flag in report)
     assert cbor_to_json(Simple(99)) == JsonNumber("99")
-    report = ConversionReport()
+    report = []
     assert cbor_to_json(Undefined(), report) is None
-    assert report.flags
+    assert report
 
 
 def test_bridge_identity_without_loss():
     text = '{"a":1,"b":[true,null,"x",-2],"c":{"d":0.5}}'
     value = parse_json(text)
-    report = ConversionReport()
+    report = []
     back = cbor_to_json(json_to_cbor(value, report=report), report)
-    assert report.lossless
+    assert not report
     assert minify(back) == text
 
 
@@ -229,10 +240,10 @@ def test_blob_embed_cbor():
     assert blob_embed_cbor(Map([(Text("content"), Bytes(b"12"))])).entries[0][1] == Tag(
         24, Bytes(bytes.fromhex("0c"))
     )
-    report = ConversionReport()
+    report = []
     unchanged = blob_embed_cbor(Map([(Text("content"), Bytes(b"<html>"))]), report=report)
     assert unchanged.entries[0][1] == Bytes(b"<html>")
-    assert report.flags
+    assert report
 
 
 def test_blob_pipeline_monotonic_on_random_payloads():
@@ -268,10 +279,10 @@ def test_minify_parse_round_trip(value):
 @settings(max_examples=200, deadline=None)
 @given(_json_values)
 def test_bridge_round_trip_property(value):
-    report = ConversionReport()
+    report = []
     item = json_to_cbor(value, report=report)
     back = cbor_to_json(item, report)
-    if report.lossless:
+    if not report:
         assert minify(back) == minify(value)
 
 
