@@ -2,23 +2,35 @@
 
 Names decode with full compression-pointer expansion; the pointer chain
 must move strictly backwards, so parsing is loop-free, and one name
-follows at most 127 pointers, so no name walks a long chain.  On encode,
-compression points at the longest previously written suffix, its
-earliest occurrence, including names embedded in the rdata of the
+follows at most 127 pointers, so no name walks a long chain.  A pointer
+only names an earlier offset (RFC 1035 section 4.1.4), so ``decode_wire``
+keeps one memo per message from each label offset it has read to that
+run: its labels, the first pointer target after it (or none), the pointer
+count and the wire length.  A pointer to a memoised offset resolves with
+one lookup once the run's first target is checked to lie below the
+pointer's own (read in place, it had only to lie below its pointer) and
+both bounds hold for the whole name; a run that fails a check is read
+label by label, which raises what a reader without the memo raises.
+
+On encode, compression points at the longest previously written suffix,
+its earliest occurrence, including names embedded in the rdata of the
 RFC 1035 record types that carry them (NS, CNAME, SOA, PTR, MX, SRV).
-``SuffixTable`` states that rule once, for these byte offsets (an offset
-past the 14-bit pointer range is never recorded) and for the component
-indices of ``dnscbor``.  Decoded rdata for those types is re-serialized
-uncompressed so a message compares equal regardless of how it was
-compressed on the wire.
+``SuffixTable`` states that rule once, for these byte offsets and for the
+component indices of ``dnscbor``; ``_place_name`` applies it at a byte
+offset (a suffix past the 14-bit pointer range is never recorded), both
+for ``encode_wire`` and for ``wire_size``, which counts the same bytes
+without writing them.  Decoded rdata for the name-bearing types is
+re-serialized uncompressed so a message compares equal regardless of how
+it was compressed on the wire.
 
 ``RDATA_LAYOUTS`` is the one place the byte layout of name-bearing rdata
-lives: the wire codec, the CBOR codec and the analysis all split and
-build that rdata through ``unpack_rdata``, ``pack_rdata`` and
-``ResourceRecord.rdata_fields``.  ``decode_wire`` keeps on each record the
-split it makes while expanding pointers, and within one message it makes
-names with the same label bytes (case kept) one ``Name``, which works out
-its key and presentation form once.
+lives (compiled once per type to ``struct.Struct``): the wire codec, the
+CBOR codec and the analysis all split and build that rdata through
+``unpack_rdata``, ``pack_rdata`` and ``ResourceRecord.rdata_fields``.
+``decode_wire`` keeps on each record the split it makes while expanding
+pointers, and within one message it makes names with the same label
+bytes (case kept) one ``Name``, which works out its key and presentation
+form once.
 """
 
 from __future__ import annotations
@@ -85,6 +97,10 @@ RDATA_LAYOUTS: dict[int, tuple[str, int, str]] = {
     TYPE_SRV: ("HHH", 1, ""),  # priority, weight, port, target
     TYPE_SOA: ("", 2, "IIIII"),  # mname, rname, serial .. minimum
 }
+_LAYOUT_STRUCTS = {
+    rtype: (struct.Struct(">" + head), count, struct.Struct(">" + tail))
+    for rtype, (head, count, tail) in RDATA_LAYOUTS.items()
+}
 
 FLAG_QR = 0x8000
 
@@ -92,6 +108,10 @@ _POINTER_MASK = 0xC0
 _MAX_POINTER = 0x3FFF
 _MAX_HOPS = 127  # pointers one name may follow: the most labels of a 255-byte name
 _HEADER_LEN = 12
+_HEADER = struct.Struct(">HHHHHH")  # id, flags, section counts
+_QUESTION_FIELDS = struct.Struct(">HH")  # type, class
+_RECORD_FIELDS = struct.Struct(">HHIH")  # type, class, TTL, rdata length
+_POINTER = struct.Struct(">H")  # also the rdata length on its own
 
 _ESCAPED = frozenset(b'."\\;()@$')
 # Presentation-form tokens: an escape (\DDD or \X), a dot, a run of other
@@ -235,6 +255,8 @@ class ResourceRecord:
     def rdata_fields(self) -> RdataFields | None:
         """The rdata split by its ``RDATA_LAYOUTS`` entry; None for a type
         without names or rdata that does not fit its layout."""
+        if self.rtype not in _LAYOUT_STRUCTS:
+            return None
         split = self._split
         if split is not None and split[0] is self.rdata:
             return split[1]
@@ -258,26 +280,39 @@ class DnsMessage:
         return bool(self.flags & FLAG_QR)
 
 
-def _read_name(data: bytes, offset: int, min_target: int, names: dict) -> tuple[Name, int]:
+# A run: what reading on from one label offset gave (labels, first pointer
+# target after the offset or None, pointers followed, wire length).
+_ROOT_RUN: tuple = ((), None, 0, 1)
+_NO_RUN = {}.get
+
+
+def _read_name(
+    data: bytes, offset: int, min_target: int, names: dict, runs: dict | None
+) -> tuple[Name, int]:
     """Decode a possibly compressed name starting at ``offset``.
 
     Returns the name and the offset just past its in-place encoding; a
     name whose labels are already in ``names`` is that object.  Every
     pointer must target a strictly smaller offset than the last jump (or
-    than the pointer itself for the first jump).
+    than the pointer itself for the first jump).  ``runs`` is the memo of
+    label offsets read so far in the message (None: no memo), which this
+    name's labels join.
     """
     labels: list[bytes] = []
+    starts: list[tuple[int, int]] = []  # each label's offset, and jumps before it
+    jumps: list[int] = []  # the target of each pointer followed
     total = 1
     hops = 0
     pos = offset
     resume = -1
-    limit = len(data)  # upper bound for the next pointer target
+    limit = size = len(data)  # upper bound for the next pointer target
+    lookup = _NO_RUN if runs is None else runs.get
     while True:
-        if pos >= len(data):
+        if pos >= size:
             raise Truncated("name runs past message end")
         length = data[pos]
         if length & _POINTER_MASK == _POINTER_MASK:
-            if pos + 1 >= len(data):
+            if pos + 1 >= size:
                 raise Truncated("pointer missing second byte")
             target = ((length & 0x3F) << 8) | data[pos + 1]
             hops += 1
@@ -294,27 +329,42 @@ def _read_name(data: bytes, offset: int, min_target: int, names: dict) -> tuple[
                 raise BadPointerTarget(
                     "pointer target %d lands inside the header" % target
                 )
-            limit = target
-            pos = target
+            limit = pos = target
+            jumps.append(target)
+            run = lookup(target)
+            if run is not None:
+                first = run[1]
+                if (first is None or first < target) and hops + run[2] <= _MAX_HOPS \
+                        and total + run[3] <= 256:
+                    break
+                lookup = _NO_RUN  # the label-by-label read raises
             continue
         if length & _POINTER_MASK:
             raise LabelOverflow("label length byte %#x uses a reserved prefix" % length)
         if length == 0:
             pos += 1
+            run = _ROOT_RUN
             break
-        if pos + 1 + length > len(data):
+        if pos + 1 + length > size:
             raise Truncated("label runs past message end")
         total += length + 1
         if total > 255:
             raise NameOverflow("expanded name longer than 255 bytes")
-        labels.append(bytes(data[pos + 1 : pos + 1 + length]))
+        starts.append((pos, len(jumps)))
         pos += 1 + length
-    end = resume if resume >= 0 else pos
-    key = tuple(labels)
+        labels.append(data[pos - length : pos])
+    tail, first, count, length = run
+    key = tuple(labels) + tail if labels else tail
+    if labels and runs is not None:  # record the run from each label read, last first
+        for i in range(len(labels) - 1, -1, -1):
+            at, before = starts[i]
+            length += len(labels[i]) + 1
+            after = len(jumps) - before
+            runs[at] = (key[i:], jumps[before] if after else first, count + after, length)
     name = names.get(key)
     if name is None:
         name = names[key] = Name(key)
-    return name, end
+    return name, resume if resume >= 0 else pos
 
 
 class RdataFields(NamedTuple):
@@ -326,81 +376,80 @@ class RdataFields(NamedTuple):
 
 
 def _split_rdata(
-    data: bytes, start: int, end: int, layout: tuple[str, int, str], min_target: int, names: dict
+    data: bytes, start: int, end: int, rtype: int, min_target: int, names: dict, runs: dict | None
 ) -> RdataFields:
     """Split the rdata at ``data[start:end]``; its names may point back
     into ``data`` but no lower than ``min_target``."""
-    head, count, tail = layout
-    head_len = struct.calcsize(">" + head)
-    tail_len = struct.calcsize(">" + tail)
-    if end - start < head_len + count + tail_len:
+    head, count, tail = _LAYOUT_STRUCTS[rtype]
+    if end - start < head.size + count + tail.size:
         raise Truncated("rdata shorter than its fixed fields and names")
-    pos = start + head_len
+    pos = start + head.size
     found = []
     for _ in range(count):
-        name, pos = _read_name(data, pos, min_target, names)
+        name, pos = _read_name(data, pos, min_target, names, runs)
         found.append(name)
-    if pos + tail_len != end:
+    if pos + tail.size != end:
         raise Truncated("rdata does not end after its names and fixed fields")
-    return RdataFields(
-        struct.unpack_from(">" + head, data, start),
-        tuple(found),
-        struct.unpack_from(">" + tail, data, pos),
-    )
+    return RdataFields(head.unpack_from(data, start), tuple(found), tail.unpack_from(data, pos))
 
 
 def unpack_rdata(rtype: int, rdata: bytes) -> RdataFields | None:
     """Uncompressed rdata -> its fields, or None for a type without names."""
-    layout = RDATA_LAYOUTS.get(rtype)
-    if layout is None:
+    if rtype not in _LAYOUT_STRUCTS:
         return None
-    return _split_rdata(rdata, 0, len(rdata), layout, 0, {})
+    return _split_rdata(bytes(rdata), 0, len(rdata), rtype, 0, {}, None)
 
 
 def pack_rdata(rtype: int, fields: RdataFields) -> bytes:
     """The uncompressed rdata of a name-bearing type."""
-    head, _, tail = RDATA_LAYOUTS[rtype]
+    head, _, tail = _LAYOUT_STRUCTS[rtype]
     names = b"".join(name.to_wire() for name in fields.names)
     try:
-        return struct.pack(">" + head, *fields.prefix) + names + struct.pack(">" + tail, *fields.tail)
+        return head.pack(*fields.prefix) + names + tail.pack(*fields.tail)
     except struct.error as exc:
         raise FieldOverflow("rdata field: %s" % exc) from exc
 
 
 def decode_wire(data: bytes) -> DnsMessage:
-    if len(data) < 12:
+    data = bytes(data)  # label slices are then bytes, whatever was passed
+    if len(data) < _HEADER_LEN:
         raise Truncated("message shorter than the 12-byte header")
-    msg_id, flags, qd, an, ns, ar = struct.unpack(">HHHHHH", data[:12])
+    msg_id, flags, qd, an, ns, ar = _HEADER.unpack_from(data)
     pos = _HEADER_LEN
     names: dict[tuple[bytes, ...], Name] = {}  # one object per spelling
+    runs: dict[int, tuple] = {}
     questions = []
     for _ in range(qd):
-        name, pos = _read_name(data, pos, _HEADER_LEN, names)
+        name, pos = _read_name(data, pos, _HEADER_LEN, names, runs)
         if pos + 4 > len(data):
             raise Truncated("question shorter than type+class")
-        rtype, rclass = struct.unpack(">HH", data[pos : pos + 4])
+        rtype, rclass = _QUESTION_FIELDS.unpack_from(data, pos)
         pos += 4
         questions.append(Question(name, rtype, rclass))
     sections: list[list[ResourceRecord]] = []
     for count in (an, ns, ar):
         records = []
         for _ in range(count):
-            name, pos = _read_name(data, pos, _HEADER_LEN, names)
+            name, pos = _read_name(data, pos, _HEADER_LEN, names, runs)
             if pos + 10 > len(data):
                 raise Truncated("record header incomplete")
-            rtype, rclass, ttl, rdlen = struct.unpack(">HHIH", data[pos : pos + 10])
+            rtype, rclass, ttl, rdlen = _RECORD_FIELDS.unpack_from(data, pos)
             pos += 10
-            if pos + rdlen > len(data):
+            end = pos + rdlen
+            if end > len(data):
                 raise Truncated("rdata runs past message end")
-            layout = RDATA_LAYOUTS.get(rtype)
-            if layout is None:
-                record = ResourceRecord(name, rtype, rclass, ttl, data[pos : pos + rdlen])
+            if rtype not in _LAYOUT_STRUCTS:
+                record = ResourceRecord(name, rtype, rclass, ttl, data[pos:end])
             else:
-                # Pointers inside name-bearing rdata are expanded.
-                split = _split_rdata(data, pos, pos + rdlen, layout, _HEADER_LEN, names)
-                record = ResourceRecord(name, rtype, rclass, ttl, pack_rdata(rtype, split))
-                record._split = (record.rdata, split)
-            pos += rdlen
+                # Pointers inside name-bearing rdata are expanded: the fixed
+                # fields are copied around the names' uncompressed form.
+                split = _split_rdata(data, pos, end, rtype, _HEADER_LEN, names, runs)
+                head, _, tail = _LAYOUT_STRUCTS[rtype]
+                rdata = b"".join([data[pos : pos + head.size], *[n.to_wire() for n in split.names],
+                                  data[end - tail.size : end]])
+                record = ResourceRecord(name, rtype, rclass, ttl, rdata)
+                record._split = (rdata, split)
+            pos = end
             records.append(record)
         sections.append(records)
     return DnsMessage(msg_id, flags, questions, *sections)
@@ -422,69 +471,95 @@ class SuffixTable(dict):
         return len(key), None
 
 
+def _place_name(table: SuffixTable, key: tuple[bytes, ...], at: int) -> tuple[int, int, int | None]:
+    """Place a name with comparison key ``key`` at offset ``at``: the labels
+    before the longest suffix in ``table`` are spelled out, and each suffix
+    spelled out is recorded.  Returns the number of labels spelled out, the
+    offset just past the name, and the offset of the suffix its pointer
+    targets (None: no pointer; the root label ends the name)."""
+    count, target = table.longest(key)
+    for i in range(count):
+        # A suffix written past the 14-bit pointer range is never recorded;
+        # later offsets only grow, so it stays out of reach.
+        if at <= _MAX_POINTER:
+            table.setdefault(key[i:], at)
+        at += len(key[i]) + 1
+    return count, at + (1 if target is None else 2), target
+
+
 def _emit_name(out: bytearray, name: Name, table: SuffixTable | None) -> None:
     if table is None:
         out += name.to_wire()
         return
-    labels = name.labels
-    key = name.key()
-    literal_count, offset = table.longest(key)
-    for i in range(literal_count):
-        # A suffix written past the 14-bit pointer range is never recorded;
-        # later offsets only grow, so it stays out of reach.
-        if len(out) <= _MAX_POINTER:
-            table.setdefault(key[i:], len(out))
-        out.append(len(labels[i]))
-        out += labels[i]
-    if offset is None:
+    count, _, target = _place_name(table, name.key(), len(out))
+    for label in name.labels[:count]:
+        out.append(len(label))
+        out += label
+    if target is None:
         out.append(0)
     else:
-        out += struct.pack(">H", 0xC000 | offset)
+        out += _POINTER.pack(0xC000 | target)
 
 
-def _emit_rdata(out: bytearray, record: ResourceRecord, table: SuffixTable | None) -> None:
-    rdlen_at = len(out)
-    out += b"\x00\x00"
-    start = len(out)
-    fields = record.rdata_fields() if table is not None else None
-    if fields is None:
-        out += record.rdata  # also rdata that does not fit its layout
-    else:
-        head, _, tail = RDATA_LAYOUTS[record.rtype]
-        out += struct.pack(">" + head, *fields.prefix)
-        for name in fields.names:
-            _emit_name(out, name, table)
-        out += struct.pack(">" + tail, *fields.tail)
-    struct.pack_into(">H", out, rdlen_at, len(out) - start)
+def _header(msg: DnsMessage) -> bytes:
+    counts = (len(msg.questions), len(msg.answers), len(msg.authority), len(msg.additional))
+    if max(counts) > 0xFFFF:
+        raise SectionOverflow("section count exceeds 16 bits")
+    return _HEADER.pack(msg.id, msg.flags, *counts)
 
 
 def encode_wire(msg: DnsMessage, compress: bool = True) -> bytes:
-    for section in (msg.questions, msg.answers, msg.authority, msg.additional):
-        if len(section) > 0xFFFF:
-            raise SectionOverflow("section count exceeds 16 bits")
     try:
-        out = bytearray(
-            struct.pack(
-                ">HHHHHH",
-                msg.id,
-                msg.flags,
-                len(msg.questions),
-                len(msg.answers),
-                len(msg.authority),
-                len(msg.additional),
-            )
-        )
+        out = bytearray(_header(msg))
         table = SuffixTable() if compress else None
         for question in msg.questions:
             _emit_name(out, question.name, table)
-            out += struct.pack(">HH", question.rtype, question.rclass)
+            out += _QUESTION_FIELDS.pack(question.rtype, question.rclass)
         for record in (*msg.answers, *msg.authority, *msg.additional):
             _emit_name(out, record.name, table)
-            out += struct.pack(">HHI", record.rtype, record.rclass, record.ttl)
-            _emit_rdata(out, record, table)
+            out += _RECORD_FIELDS.pack(record.rtype, record.rclass, record.ttl, 0)
+            start = len(out)
+            fields = record.rdata_fields() if table is not None else None
+            if fields is None:
+                out += record.rdata  # also rdata that does not fit its layout
+            else:
+                head, _, tail = _LAYOUT_STRUCTS[record.rtype]
+                out += head.pack(*fields.prefix)
+                for name in fields.names:
+                    _emit_name(out, name, table)
+                out += tail.pack(*fields.tail)
+            _POINTER.pack_into(out, start - 2, len(out) - start)
     except struct.error as exc:
         raise FieldOverflow("message field: %s" % exc) from exc
     return bytes(out)
+
+
+def wire_size(msg: DnsMessage) -> int:
+    """``len(encode_wire(msg))``, counted without writing the message: names
+    are placed by the same rule, each fixed field is checked by the struct
+    that would pack it, and what ``encode_wire`` raises is raised."""
+    table = SuffixTable()
+    try:
+        at = len(_header(msg))
+        for question in msg.questions:
+            at = _place_name(table, question.name.key(), at)[1] + 4
+            _QUESTION_FIELDS.pack(question.rtype, question.rclass)
+        for record in (*msg.answers, *msg.authority, *msg.additional):
+            at = start = _place_name(table, record.name.key(), at)[1] + 10
+            _RECORD_FIELDS.pack(record.rtype, record.rclass, record.ttl, 0)
+            fields = record.rdata_fields()
+            if fields is None:
+                at += len(record.rdata)
+            else:
+                head, _, tail = _LAYOUT_STRUCTS[record.rtype]
+                at += head.size + tail.size
+                for name in fields.names:
+                    at = _place_name(table, name.key(), at)[1]
+            if at - start > 0xFFFF:
+                raise FieldOverflow("rdata length %d does not fit 16 bits" % (at - start))
+    except struct.error as exc:
+        raise FieldOverflow("message field: %s" % exc) from exc
+    return at
 
 
 def name_rdata(text: str) -> bytes:

@@ -91,6 +91,15 @@ def _reject_constant(name: str):
     raise ValueError("non-standard constant %s" % name)
 
 
+# A string, or a constant Python's JSON scanner accepts.  The one rejected
+# is the first outside a string, as the text before it parsed.
+_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity|NaN', re.DOTALL)
+
+
+def _byte_offset(source: str, pos: int) -> int:
+    return len(source[:pos].encode("utf-8", "surrogatepass"))
+
+
 _DECODER = json.JSONDecoder(
     parse_int=JsonNumber,
     parse_float=JsonNumber,
@@ -114,16 +123,16 @@ def parse_json(text: str | bytes) -> JsonValue:
     try:
         value, end = _DECODER.raw_decode(source, start)
     except json.JSONDecodeError as exc:
-        offset = len(source[: exc.pos].encode("utf-8", "surrogatepass"))
-        raise JsonSyntaxError(exc.msg, offset) from exc
-    except ValueError as exc:
-        raise JsonSyntaxError(str(exc), 0) from exc
+        raise JsonSyntaxError(exc.msg, _byte_offset(source, exc.pos)) from exc
+    except ValueError as exc:  # from _reject_constant
+        found = _STRING_OR_CONSTANT.finditer(source, start)
+        pos = next(m.start() for m in found if m[0][0] != '"')
+        raise JsonSyntaxError(str(exc), _byte_offset(source, pos)) from exc
     except RecursionError as exc:
         raise JsonSyntaxError("nested too deeply to parse", start) from exc
     rest = source[end:].strip(" \t\n\r")
     if rest:
-        offset = len(source[:end].encode("utf-8", "surrogatepass"))
-        raise JsonSyntaxError("trailing data after JSON value", offset)
+        raise JsonSyntaxError("trailing data after JSON value", _byte_offset(source, end))
     return value
 
 

@@ -6,9 +6,12 @@ wrappers.  This installs its tracer over the package, runs one small
 mode through the wrapped attributes, and restores them, so a change that
 renames or reshapes one of those entry points fails here rather than
 only in ``perfbench/run.py --trace 1``.  ``dns compare`` sizes the packed
-and component modes without ``pack`` or a component encoding, so the
-round trip is what reaches both ``pack`` spans and both component
-``encode_message`` spans.  Nothing under ``perfbench/`` is written.
+and component modes without ``pack`` or a component encoding, and the
+classic wire form with ``dnswire.wire_size`` rather than ``encode_wire``,
+so the round trip is what reaches both ``pack`` spans, both component
+``encode_message`` spans and ``encode_wire``: like the ``dns-roundtrip``
+workload, it re-emits each decoded message in wire form.  Nothing under
+``perfbench/`` is written.
 """
 
 import importlib.util
@@ -61,7 +64,9 @@ def test_traced_commands_run_through_every_wrapped_entry_point(tmp_path):
         for mode in (dnspacked.PACKED_LITE, dnspacked.PACKED_FULL):
             data = dnspacked.pack(plain, mode).encode()
             item = dnspacked.unpack(dnspacked.PackedEnvelope.from_bytes(data))
-            assert dnscbor.item_to_message(item, ctx) == msg
+            back = dnscbor.item_to_message(item, ctx)
+            assert back == msg
+            assert dnswire.decode_wire(dnswire.encode_wire(back)) == msg
         for ref in (dnscbor.ComponentRef.one_plus_zero(), dnscbor.ComponentRef.one_plus_one()):
             refs = dnscbor.CodecContext(role=role, mode=ref)
             assert dnscbor.decode_message(dnscbor.encode_message(msg, refs).data, refs) == msg

@@ -1,13 +1,16 @@
 import hashlib
 import random
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import a_rdata, mx_rdata, random_message, soa_rdata, srv_rdata
-from cborkit.analysis import message_names
+from test_decoder_contract import _FUZZ, _WIRES, _mutated
+from cborkit import dnswire
+from cborkit.analysis import compare_modes, message_names
 from cborkit.cbor import Bytes
 from cborkit.dnscbor import CodecContext, ROLE_RESPONSE, encode_message
 from cborkit.dnswire import (
@@ -39,6 +42,7 @@ from cborkit.dnswire import (
     name_rdata,
     pack_rdata,
     unpack_rdata,
+    wire_size,
 )
 
 # hand-built wire bytes for the www.example.cz A query (12-byte header,
@@ -235,6 +239,120 @@ def test_pointer_hops_are_bounded():
         decode_wire(wire)
 
 
+def _rereading_read_name(data, offset, min_target, names, runs):
+    """The name reader without an offset memo: it ignores ``runs``, follows
+    every pointer and reads every label again.  The reference for
+    ``decode_wire``'s own reader."""
+    labels = []
+    total, hops, pos, resume, limit = 1, 0, offset, -1, len(data)
+    while True:
+        if pos >= len(data):
+            raise Truncated("name runs past message end")
+        length = data[pos]
+        if length & 0xC0 == 0xC0:
+            if pos + 1 >= len(data):
+                raise Truncated("pointer missing second byte")
+            target = ((length & 0x3F) << 8) | data[pos + 1]
+            hops += 1
+            if hops > 127:
+                raise PointerLoop("too many pointers")
+            if resume < 0:
+                resume, limit = pos + 2, pos
+            if target >= limit:
+                raise PointerLoop("pointer does not move backwards")
+            if target < min_target:
+                raise BadPointerTarget("pointer into the header")
+            limit = pos = target
+            continue
+        if length & 0xC0:
+            raise LabelOverflow("reserved label prefix")
+        if length == 0:
+            pos += 1
+            break
+        if pos + 1 + length > len(data):
+            raise Truncated("label runs past message end")
+        total += length + 1
+        if total > 255:
+            raise NameOverflow("name longer than 255 bytes")
+        labels.append(bytes(data[pos + 1 : pos + 1 + length]))
+        pos += 1 + length
+    key = tuple(labels)
+    return names.setdefault(key, Name(key)), resume if resume >= 0 else pos
+
+
+def _decode_outcome(data: bytes):
+    try:
+        return decode_wire(data)
+    except DnsWireError as exc:
+        return type(exc)
+
+
+def _assert_decodes_as_rereading(data: bytes):
+    with mock.patch.object(dnswire, "_read_name", _rereading_read_name):
+        want = _decode_outcome(data)
+    assert _decode_outcome(data) == want
+    return want
+
+
+@_FUZZ
+@given(_mutated(_WIRES))
+def test_decode_wire_matches_a_rereading_reader_on_mutated_wires(data):
+    _assert_decodes_as_rereading(data)
+
+
+def _questions(*names: bytes) -> bytes:
+    """A query whose questions spell these names, each followed by type A,
+    class IN; the first name starts at offset 12."""
+    body = b"".join(name + struct.pack(">HH", TYPE_A, CLASS_IN) for name in names)
+    return struct.pack(">HHHHHH", 0, 0, len(names), 0, 0, 0) + body
+
+
+def _hops_through_a_run(chain: int) -> bytes:
+    """``_pointer_chain_message`` with one owner "b" spelled out before its
+    ``chain + 1`` pointers, then an owner that points at that "b"."""
+    wire = bytearray(_pointer_chain_message(chain, 0))
+    last, at = len(wire) - 2, len(wire)
+    wire += b"\x01b" + struct.pack(">HHHIH", 0xC000 | last, TYPE_A, CLASS_IN, 0, 0)
+    wire += struct.pack(">HHHIH", 0xC000 | at, TYPE_A, CLASS_IN, 0, 0)
+    struct.pack_into(">H", wire, 6, 3)  # the answer count
+    return bytes(wire)
+
+
+_LONGEST = b"".join(bytes([63]) + b"x" * 63 for _ in range(3)) + bytes([61]) + b"y" * 61 + b"\x00"
+
+
+@pytest.mark.parametrize(
+    "data, want",
+    [
+        # "a.example" at 12; "b" at 27 and a pointer at 29 to 12; then a
+        # pointer to the pointer at 29.
+        (_questions(b"\x01a\x07example\x00", b"\x01b\xc0\x0c", b"\xc0\x1d"), "a.example"),
+        # A pointer into the middle of an earlier name.
+        (_questions(b"\x01a\x07example\x00", b"\xc0\x0e"), "example"),
+        # Read in place, the label at 12 and a pointer at 16 to 13 (inside
+        # that label) decode; reached by a jump to 12, the same pointer
+        # does not move below 12.
+        (_questions(b"\x03\x01z\x00\xc0\x0d", b"\xc0\x0c"), PointerLoop),
+        (_pointer_chain_message(126, 4), "a"),
+        (_pointer_chain_message(127, 4), PointerLoop),
+        (_hops_through_a_run(125), "b.a"),
+        (_hops_through_a_run(126), PointerLoop),
+        # A 255-byte name, then a label in front of a pointer to it.
+        (_questions(_LONGEST, b"\xc0\x0c"), ".".join(["x" * 63] * 3 + ["y" * 61])),
+        (_questions(_LONGEST, b"\x01b\xc0\x0c"), NameOverflow),
+    ],
+    ids=["pointer-to-pointer", "into-a-name", "first-target-below-the-jump", "126-hops",
+         "127-hops", "run-with-126-hops", "run-with-127-hops", "255-bytes", "257-bytes"],
+)
+def test_decode_wire_matches_a_rereading_reader_on_crafted_pointers(data, want):
+    got = _assert_decodes_as_rereading(data)
+    if isinstance(want, str):
+        names = [q.name for q in got.questions] + [r.name for r in got.answers]
+        assert names[-1].to_text() == want
+    else:
+        assert got is want
+
+
 def test_pointer_into_header_rejected():
     head = struct.pack(">HHHHHH", 0, 0, 1, 0, 0, 0)
     with pytest.raises(BadPointerTarget):
@@ -286,6 +404,44 @@ _A_RECORD_TTL_2_32 = ResourceRecord(Name(()), TYPE_A, CLASS_IN, 2**32, b"\0" * 4
 def test_integer_wider_than_its_field(build):
     with pytest.raises(FieldOverflow):
         build()
+
+
+def _rdata_reassigned(rdata: bytes) -> DnsMessage:
+    record = ResourceRecord(Name.from_text("a.example"), TYPE_TXT, CLASS_IN, 60, b"")
+    record.rdata = rdata  # past the check made when the record was built
+    return DnsMessage(1, 0x8180, answers=[record])
+
+
+@pytest.mark.parametrize(
+    "msg, error",
+    [
+        (DnsMessage(id=70000), FieldOverflow),
+        (DnsMessage(flags=-1), FieldOverflow),
+        (DnsMessage(answers=[_A_RECORD_TTL_2_32]), FieldOverflow),
+        (DnsMessage(answers=[ResourceRecord(Name(()), TYPE_A, CLASS_IN, 60.0, b"\0" * 4)]), FieldOverflow),
+        (DnsMessage(answers=[ResourceRecord(Name(()), -1, CLASS_IN, 60, b"\0" * 4)]), FieldOverflow),
+        (DnsMessage(questions=[Question(Name(()), TYPE_A, 70000)]), FieldOverflow),
+        (_rdata_reassigned(b"x" * 0x10000), FieldOverflow),
+        (DnsMessage(questions=[Question(Name(()))] * 0x10000), SectionOverflow),
+    ],
+    ids=["id", "flags", "ttl", "float-ttl", "type", "question-class", "rdata-length", "section-count"],
+)
+def test_classic_size_raises_where_encode_wire_does(msg, error):
+    for classic_size in (lambda: encode_wire(msg), lambda: wire_size(msg), lambda: compare_modes(msg)):
+        with pytest.raises(error):
+            classic_size()
+    # The largest rdata still fits.
+    msg = _rdata_reassigned(b"x" * 0xFFFF)
+    assert wire_size(msg) == len(encode_wire(msg))
+
+
+def test_wire_size_is_the_length_of_encode_wire():
+    rng = random.Random(23)
+    for _ in range(300):
+        msg = random_message(rng)
+        assert wire_size(msg) == len(encode_wire(msg))
+    msg = _message_past_the_14_bit_offset_limit()
+    assert wire_size(msg) == len(encode_wire(msg))
 
 
 def test_name_text_escaping():
@@ -515,13 +671,11 @@ def _pointer_targets(wire: bytes) -> list[int]:
     return targets
 
 
-def test_no_pointer_past_the_14_bit_offset_limit():
-    # 65 TXT strings of 255 bytes push every later name past offset 0x3FFF,
-    # where a pointer cannot reach: those names are spelled out again, and
-    # only suffixes written before the limit are pointed at.
+def _message_past_the_14_bit_offset_limit() -> DnsMessage:
+    """65 TXT strings of 255 bytes push every later name past offset 0x3FFF."""
     name = Name.from_text
     txt = (b"\xff" + b"t" * 255) * 65
-    msg = DnsMessage(7, 0x8180, [Question(name("example.org"), TYPE_A, CLASS_IN)], answers=[
+    return DnsMessage(7, 0x8180, [Question(name("example.org"), TYPE_A, CLASS_IN)], answers=[
         ResourceRecord(name("www.example.org"), TYPE_A, CLASS_IN, 60, a_rdata("192.0.2.1")),
         ResourceRecord(name("example.org"), TYPE_TXT, CLASS_IN, 60, txt),
         ResourceRecord(name("late.example.org"), TYPE_CNAME, CLASS_IN, 60,
@@ -533,6 +687,12 @@ def test_no_pointer_past_the_14_bit_offset_limit():
         ResourceRecord(name("example.org"), TYPE_SOA, CLASS_IN, 60,
                        soa_rdata("ns.late.example.org", "late.example.org", 1, 2, 3, 4, 5)),
     ])
+
+
+def test_no_pointer_past_the_14_bit_offset_limit():
+    # Names past offset 0x3FFF, where a pointer cannot reach, are spelled
+    # out again, and only suffixes written before the limit are pointed at.
+    msg = _message_past_the_14_bit_offset_limit()
     wire = encode_wire(msg)
     assert wire.index(b"\x04late") > 0x3FFF
     assert wire.count(b"\x04late") == 6  # one per name under late.example.org

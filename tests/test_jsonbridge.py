@@ -79,6 +79,11 @@ def test_parse_error_reports_byte_offset():
         ('["☃"] 1'.encode(), 7),
         ('["\ud800", x]', 8),  # a lone surrogate counts as three bytes
     ]
+    # A non-standard constant is reported where it starts, past any string
+    # that spells one.
+    for text, offset in [('{"a":NaN}', 5), ("[1, Infinity]", 4), ("[1,2,-Infinity]", 5),
+                         ('["é NaN", NaN]', 11)]:
+        cases += [(text, offset), (text.encode(), offset)]
     for source, offset in cases:
         with pytest.raises(JsonSyntaxError) as caught:
             parse_json(source)
