@@ -366,11 +366,17 @@ def _expect_uint(item: CborItem, bits: int, what: str) -> int:
     return item.value
 
 
-def _expect_fixed(codes: str, items: list[CborItem]) -> tuple[int, ...]:
-    """Fixed rdata integers, each as wide as its struct format code."""
+# Each layout's fixed integers as bit widths, before and after its names.
+_FIXED_BITS = {
+    rtype: tuple(tuple(8 * struct.calcsize(">" + code) for code in codes) for codes in (head, tail))
+    for rtype, (head, _, tail) in RDATA_LAYOUTS.items()
+}
+
+
+def _expect_fixed(widths: tuple[int, ...], items: list[CborItem]) -> tuple[int, ...]:
+    """Fixed rdata integers, each at most as wide as its width in bits."""
     return tuple(
-        _expect_uint(item, 8 * struct.calcsize(code), "rdata field")
-        for code, item in zip(codes, items)
+        _expect_uint(item, bits, "rdata field") for bits, item in zip(widths, items)
     )
 
 
@@ -496,10 +502,11 @@ class _Decoder:
                         % (rtype, len(head), count, len(tail))
                     )
                 n = len(head)
+                head_bits, tail_bits = _FIXED_BITS[rtype]
                 fields = RdataFields(
-                    _expect_fixed(head, f[:n]),
+                    _expect_fixed(head_bits, f[:n]),
                     tuple(self.parse_nested_name(x) for x in f[n : n + count]),
-                    _expect_fixed(tail, f[n + count :]),
+                    _expect_fixed(tail_bits, f[n + count :]),
                 )
                 return pack_rdata(rtype, fields), i + 1
         if not isinstance(element, Bytes):

@@ -5,6 +5,10 @@ str, list); numbers keep their original lexeme in :class:`JsonNumber`
 so minified output round-trips byte-for-byte, and objects live in
 :class:`JsonObject` so duplicate keys and ordering survive.
 
+``json_to_cbor`` makes one ``Text`` per distinct string in a conversion
+and shares it among every key and string value that holds that string
+(items are frozen); nothing is shared between conversions.
+
 Also implements the three blob transforms for GitHub-style file maps:
 tagging base64 content (tag 34), decoding it to a byte string, and
 embedding re-encoded CBOR content (tag 24).
@@ -104,7 +108,7 @@ _DECODER = json.JSONDecoder(
     parse_int=JsonNumber,
     parse_float=JsonNumber,
     parse_constant=_reject_constant,
-    object_pairs_hook=lambda pairs: JsonObject(list(pairs)),
+    object_pairs_hook=JsonObject,
 )
 
 
@@ -192,37 +196,50 @@ def json_to_cbor(
     ``cbor.DEFAULT_MAX_DEPTH``, which ``cbor.encode`` would reject, raises
     ``cbor.DepthExceeded``.
     """
-    return _to_cbor(value, float_mode, report, cbor.DEFAULT_MAX_DEPTH)
+    texts = _Texts()
+
+    def convert(value: JsonValue, depth: int) -> CborItem:
+        # ``value`` sits ``depth`` levels above the bound, so a container at
+        # depth 0 must be empty.  A string child is looked up in place of a
+        # call of its own.
+        if isinstance(value, str):
+            return texts[value]
+        if isinstance(value, JsonNumber):
+            return _number_to_cbor(value, float_mode, report)
+        if isinstance(value, list):
+            if value and not depth:
+                raise cbor.DepthExceeded("JSON nested deeper than %d" % cbor.DEFAULT_MAX_DEPTH)
+            return Array([texts[c] if type(c) is str else convert(c, depth - 1) for c in value])
+        if isinstance(value, JsonObject):
+            # An object's keys sit at the level of its values.
+            if value.entries and not depth:
+                raise cbor.DepthExceeded("JSON nested deeper than %d" % cbor.DEFAULT_MAX_DEPTH)
+            seen: set[str] | None = None if report is None else set()
+            entries: list[tuple[CborItem, CborItem]] = []
+            for key, child in value.entries:
+                if seen is not None:
+                    if key in seen:
+                        report.append("duplicate object key %r kept" % key)
+                    seen.add(key)
+                entries.append(
+                    (texts[key], texts[child] if type(child) is str else convert(child, depth - 1))
+                )
+            return Map(entries)
+        if value is None:
+            return Null()
+        if isinstance(value, bool):
+            return Bool(value)
+        raise JsonBridgeError("not a JSON value: %r" % (value,))
+
+    return convert(value, cbor.DEFAULT_MAX_DEPTH)
 
 
-def _to_cbor(
-    value: JsonValue, float_mode: str, report: list[str] | None, depth: int
-) -> CborItem:
-    # An object's keys sit at the level of its values, so checking every
-    # value bounds the keys too.
-    if depth < 0:
-        raise cbor.DepthExceeded("JSON nested deeper than %d" % cbor.DEFAULT_MAX_DEPTH)
-    if isinstance(value, str):
-        return Text(value)
-    if isinstance(value, JsonNumber):
-        return _number_to_cbor(value, float_mode, report)
-    if isinstance(value, list):
-        return Array([_to_cbor(c, float_mode, report, depth - 1) for c in value])
-    if isinstance(value, JsonObject):
-        seen: set[str] | None = None if report is None else set()
-        entries: list[tuple[CborItem, CborItem]] = []
-        for key, child in value.entries:
-            if seen is not None:
-                if key in seen:
-                    report.append("duplicate object key %r kept" % key)
-                seen.add(key)
-            entries.append((Text(key), _to_cbor(child, float_mode, report, depth - 1)))
-        return Map(entries)
-    if value is None:
-        return Null()
-    if isinstance(value, bool):
-        return Bool(value)
-    raise JsonBridgeError("not a JSON value: %r" % (value,))
+class _Texts(dict):
+    """One conversion's ``Text`` for each distinct string, made on first use."""
+
+    def __missing__(self, data: str) -> Text:
+        text = self[data] = Text(data)
+        return text
 
 
 def _number_to_cbor(

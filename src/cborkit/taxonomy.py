@@ -9,25 +9,27 @@ The prevalence and redundancy rules are explicit stand-ins: map keys
 count as leaves, and duplicates only count as redundancy when their
 encoding is at least 2 bytes.
 
-``classify`` makes one post-order pass over the item.  Each node's
-encoding is built as its head followed by its children's encodings, so
-every subtree is encoded once rather than once per ancestor, and each
-distinct text is encoded once however often it recurs (map keys repeat
-across records).  The same pass counts content types and notes a
-container inside a container (tags are transparent).  Redundancy is
-keyed on that encoding under the default ``EncodeOptions`` rather than on
-a structural hash of the values.  The encoding is exact where such a hash
-is not: every NaN encodes as the one canonical NaN, while ``-0.0`` equals
-``0.0`` as a value, and a float's preferred width changes its bytes but
-not its value.  The pass enforces ``cbor.DEFAULT_MAX_DEPTH`` as
-``cbor.encode`` does, and the root encoding's length is the item's size
-under the default options.  A JSON document's float widths are set by
-``jsonbridge.json_to_cbor``, so that size holds under every float mode.
+``classify`` makes one post-order pass over the item.  Until redundancy
+is decided, each node's encoding is built as its head followed by its
+children's encodings, so every subtree is encoded once rather than once
+per ancestor, and each distinct text is encoded once however often it
+recurs (map keys repeat across records); after that, it adds up sizes
+only.  The same pass counts content types and notes a container inside a
+container (tags are transparent).  Redundancy is keyed on the encoding
+under the default ``EncodeOptions`` rather than on a structural hash of
+the values.  The encoding is exact where such a hash is not: every NaN
+encodes as the one canonical NaN, while ``-0.0`` equals ``0.0`` as a
+value, and a float's preferred width changes its bytes but not its
+value.  The pass raises what ``cbor.encode`` raises, and the root's size
+is the item's size under the default options.  A JSON document's float
+widths are set by ``jsonbridge.json_to_cbor``, so that size holds under
+every float mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import cbor
 from .cbor import (
@@ -46,6 +48,8 @@ from .cbor import (
     Undefined,
 )
 from .dnspacked import SIMPLE_REF_LIMIT
+
+_flat = chain.from_iterable
 
 
 class TaxonomyError(Exception):
@@ -75,14 +79,16 @@ TIER_1_LIMIT = 100
 TIER_2_LIMIT = 1000
 
 CONTENT_TYPES = ("textual", "numeric", "binary", "taggy", "boolean", "structural")
+# Indices into CONTENT_TYPES; a tie goes to the lowest.
+_TEXTUAL, _NUMERIC, _BINARY, _TAGGY, _BOOLEAN, _STRUCTURAL = range(len(CONTENT_TYPES))
 
 _LEAF_CONTENT = {
-    Nint: "numeric",
-    Float: "numeric",
-    Bool: "boolean",
-    Null: "boolean",
-    Undefined: "boolean",
-    Bytes: "binary",
+    Nint: _NUMERIC,
+    Float: _NUMERIC,
+    Bool: _BOOLEAN,
+    Null: _BOOLEAN,
+    Undefined: _BOOLEAN,
+    Bytes: _BINARY,
 }
 
 
@@ -107,69 +113,79 @@ def size_tier(size: int) -> int:
 def classify(item: CborItem, original_size: int) -> TaxonomyRecord:
     """``original_size`` sets the tier; ``encoded_size`` on the record is
     ``cbor.item_size(item)``."""
-    counts = dict.fromkeys(CONTENT_TYPES, 0)
+    counts = [0] * len(CONTENT_TYPES)
     seen: set[bytes] = set()
     texts: dict[str, bytes] = {}
     redundant = nested = False
 
-    def walk(nodes, depth: int, inside: bool) -> bytes:
-        # Returns the encodings of ``nodes``, siblings at ``depth``, under
-        # the default EncodeOptions, joined; ``inside`` says whether an
-        # array or map encloses them.
+    def walk(nodes, depth: int, inside: bool) -> tuple[int, bytes | None]:
+        # Returns the size of ``nodes``, siblings at ``depth``, under the
+        # default EncodeOptions, and their joined encoding, or None once
+        # ``redundant`` is set; ``inside`` says whether an array or map
+        # encloses them.  Only called with at least one node.
         nonlocal redundant, nested
-        if depth < 0 and nodes:
+        if depth < 0:
             raise cbor.DepthExceeded("item tree deeper than %d" % cbor.DEFAULT_MAX_DEPTH)
+        total = textual = 0
         parts = []
         for node in nodes:
             kind = type(node)
             if kind is Text:
                 # Only texts encode with major type 3: ``texts`` is all a text can repeat.
-                counts["textual"] += 1
+                textual += 1
                 encoded = texts.get(node.data)
                 if encoded is None:
                     encoded = texts[node.data] = cbor.text_encoding(node.data)
                 elif len(encoded) >= 2:
                     redundant = True
-                parts.append(encoded)
+                total += len(encoded)
+                if not redundant:
+                    parts.append(encoded)
                 continue
+            # A container or Uint is its head, then ``inner`` of ``size``
+            # bytes; any other leaf is ``inner`` alone (``major`` None).
             if kind is Map:
                 nested = nested or inside
-                content = "structural"
-                encoded = cbor.head(5, len(node.entries)) + walk(
-                    [x for pair in node.entries for x in pair], depth - 1, True
-                )
+                content, major, argument = _STRUCTURAL, 5, len(node.entries)
+                size, inner = walk(_flat(node.entries), depth - 1, True) if argument else (0, b"")
             elif kind is Uint:
-                content = "numeric"
-                encoded = cbor.head(0, node.value)
+                content, major, argument, size, inner = _NUMERIC, 0, node.value, 0, b""
             elif kind is Array:
                 nested = nested or inside
-                content = "structural"
-                encoded = cbor.head(4, len(node.items)) + walk(node.items, depth - 1, True)
+                content, major, argument = _STRUCTURAL, 4, len(node.items)
+                size, inner = walk(node.items, depth - 1, True) if argument else (0, b"")
             elif kind is Tag:
-                content = "taggy"
-                encoded = cbor.head(6, node.number) + walk((node.content,), depth - 1, inside)
+                content, major, argument = _TAGGY, 6, node.number
+                size, inner = walk((node.content,), depth - 1, inside)
             else:
-                encoded = cbor.encode(node)
+                inner = cbor.encode(node)
+                major, size = None, len(inner)
                 if kind is Simple:
                     # Simple values below the limit are packed-table references.
-                    content = "taggy" if node.value < SIMPLE_REF_LIMIT else "numeric"
+                    content = _TAGGY if node.value < SIMPLE_REF_LIMIT else _NUMERIC
                 else:
                     content = _LEAF_CONTENT[kind]
             counts[content] += 1
-            if len(encoded) >= 2:
+            if major is not None:
+                size += cbor.head_size(argument)
+            total += size
+            if redundant:
+                continue
+            encoded = inner if major is None else cbor.head(major, argument) + inner
+            if size >= 2:
                 if encoded in seen:
                     redundant = True
                 else:
                     seen.add(encoded)
             parts.append(encoded)
-        return b"".join(parts)
+        counts[_TEXTUAL] += textual
+        return total, None if redundant else b"".join(parts)
 
-    root = walk((item,), cbor.DEFAULT_MAX_DEPTH, False)
-    winner = max(CONTENT_TYPES, key=lambda t: (counts[t], -CONTENT_TYPES.index(t)))
+    size, _ = walk((item,), cbor.DEFAULT_MAX_DEPTH, False)
     return TaxonomyRecord(
         tier=size_tier(original_size),
-        content_type=winner,
+        content_type=CONTENT_TYPES[counts.index(max(counts))],
         redundancy="redundant" if redundant else "non_redundant",
         structure="nested" if nested else "flat",
-        encoded_size=len(root),
+        encoded_size=size,
     )

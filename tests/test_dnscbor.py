@@ -596,6 +596,23 @@ def test_structured_rdata_widths_at_their_bounds():
     assert soa.rdata == soa_rdata("a", "b", 1, 2, 3, 4, 0xFFFFFFFF)
 
 
+def test_fixed_rdata_fields_are_bounded_by_their_layout_widths():
+    # A field before the names (MX preference) and one after them (SOA serial).
+    def response(preference, serial):
+        return _plain_response(Text("example"), [
+            (TYPE_MX, Array([Uint(preference), Text("a")])),
+            (TYPE_SOA, Array([Text("a"), Text("b"), Uint(serial), *_COUNTERS[1:]])),
+        ])
+
+    ctx = CodecContext(role=ROLE_RESPONSE)
+    mx, soa = decode_message(response(0xFFFF, 0xFFFFFFFF), ctx).answers
+    assert mx.rdata == mx_rdata(0xFFFF, "a")
+    assert soa.rdata == soa_rdata("a", "b", 0xFFFFFFFF, 2, 3, 4, 5)
+    for preference, serial in ((1 << 16, 1), (1, 1 << 32)):
+        with pytest.raises(TypeMismatch):
+            decode_message(response(preference, serial), ctx)
+
+
 @pytest.mark.parametrize("text", ["é.com", "☃.com", "☃"])
 def test_plain_non_ascii_names_decode_as_in_component_mode(text):
     labels = tuple(c.encode("utf-8") for c in text.split("."))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cborkit import cbor
-from cborkit.cbor import Bytes, Map, Nint, Simple, Tag, Text, Uint, Undefined
+from cborkit.cbor import Array, Bytes, Map, Nint, Simple, Tag, Text, Uint, Undefined
 from cborkit.jsonbridge import (
     Base64Error,
     JsonBridgeError,
@@ -114,7 +114,7 @@ def _json_depth(value):
     return 1 + max(map(_json_depth, children)) if children else 0
 
 
-@pytest.mark.parametrize("inner", ["1", "[]", "{}", "[1]", '{"a":1}', '{"a":{}}'])
+@pytest.mark.parametrize("inner", ["1", "[]", "{}", "[1]", '{"a":1}', '{"a":{}}', '"s"', '["s"]'])
 @pytest.mark.parametrize("wrap", ["[%s]", '{"k":%s}', '[0,%s,{}]'])
 def test_json_to_cbor_depth_bound_is_the_encoders(inner, wrap):
     for levels in range(126, 130):
@@ -151,6 +151,48 @@ def test_json_to_cbor_goldens():
     assert cbor.encode(json_to_cbor(parse_json("5.5"), cbor.FLOAT_FORCE_DOUBLE)).hex() == (
         "fb4016000000000000"
     )
+
+
+def _texts(item):
+    if isinstance(item, Text):
+        yield item
+    elif isinstance(item, Array):
+        for child in item.items:
+            yield from _texts(child)
+    elif isinstance(item, Map):
+        for key, value in item.entries:
+            yield from _texts(key)
+            yield from _texts(value)
+
+
+def test_json_to_cbor_shares_one_text_per_string():
+    value = parse_json('[{"k":"k","v":"k"},{"k":"v"},["v","k"]]')
+    first = json_to_cbor(value)
+    by_string = {}
+    for text in _texts(first):
+        assert by_string.setdefault(text.data, text) is text
+    assert sorted(by_string) == ["k", "v"]
+    second = json_to_cbor(value)
+    assert second == first
+    assert {id(t) for t in _texts(first)}.isdisjoint(id(t) for t in _texts(second))
+
+
+@pytest.mark.parametrize("mode, float_hex", [
+    (cbor.FLOAT_SMALLEST, "f93e00"),
+    (cbor.FLOAT_PRESERVE, "fb3ff8000000000000"),
+    (cbor.FLOAT_FORCE_DOUBLE, "fb3ff8000000000000"),
+])
+def test_json_to_cbor_shared_texts_encode_as_before(mode, float_hex):
+    value = parse_json('[{"k":"k","x":1.5},{"k":"v"}]')
+    data = cbor.encode(json_to_cbor(value, mode), cbor.EncodeOptions(float_mode=mode))
+    assert data.hex() == "82a2616b616b6178" + float_hex + "a1616b6176"
+
+
+def test_repeated_key_is_flagged_once_per_repeat():
+    report = []
+    item = json_to_cbor(parse_json('{"a":1,"a":2,"a":3}'), report=report)
+    assert report == ["duplicate object key 'a' kept"] * 2
+    assert item == Map([(Text("a"), Uint(n)) for n in (1, 2, 3)])
 
 
 def test_json_to_cbor_integer_overflow_flagged():

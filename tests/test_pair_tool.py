@@ -1,6 +1,7 @@
 """``tools/pair.py`` times two source trees against each other: here
-``src/`` against itself on one batch of the large corpus, and against a
-copy whose ``dns compare`` CSV differs, which must fail."""
+``src/`` against itself on one batch of the large corpus and of the JSON
+corpus, and against copies whose ``dns compare`` or ``json analyze`` CSV
+differs, which must fail."""
 
 import importlib.util
 import shutil
@@ -20,7 +21,7 @@ def test_pairing_src_with_itself(capsys):
     pair = _load_pair()
     assert pair.main(["--parent-src", str(ROOT / "src"), "--batches", "1", "--pairs", "2"]) == 0
     out = capsys.readouterr().out
-    assert [layer for layer in pair.LAYERS if "\n%s " % layer not in out] == []
+    assert [layer for layer in pair.DNS_LAYERS if "\n%s " % layer not in out] == []
     assert "dns compare CSVs identical on every batch" in out
 
 
@@ -32,3 +33,22 @@ def test_pairing_fails_when_the_csvs_differ(tmp_path, capsys):
     analysis.write_text(analysis.read_text().replace('"question_elided"', '"elided"'))
     assert pair.pair(copy, ROOT / "src", "large", seed=1, batches=1, pairs=1) == 1
     assert "CSVs differ on batch(es) [0]" in capsys.readouterr().out
+
+
+def test_pairing_src_with_itself_on_json(capsys):
+    pair = _load_pair()
+    argv = ["--parent-src", str(ROOT / "src"), "--corpus", "json", "--batches", "1", "--pairs", "2"]
+    assert pair.main(argv) == 0
+    out = capsys.readouterr().out
+    assert [layer for layer in pair.JSON_LAYERS if "\n%s " % layer not in out] == []
+    assert "json analyze CSVs identical on every batch" in out
+
+
+def test_pairing_fails_when_the_json_csvs_differ(tmp_path, capsys):
+    pair = _load_pair()
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = copy / "cborkit" / "cli.py"
+    cli.write_text(cli.read_text().replace('"minified_size"', '"json_size"'))
+    assert pair.pair(copy, ROOT / "src", "json", seed=1, batches=1, pairs=1) == 1
+    assert "json analyze CSVs differ on batch(es) [0]" in capsys.readouterr().out

@@ -282,6 +282,48 @@ def test_classify_matches_three_walk_oracle(item):
     assert _outcome(classify, item) == _outcome(_oracle_classify, item)
 
 
+def _decided_first(tree):
+    """``tree`` after a repeated 2-byte text, so that redundancy is decided
+    before ``tree`` is walked."""
+    return Array([Text("ab"), Text("ab"), tree])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_trees, _deep_trees()).map(_decided_first))
+def test_classify_after_an_early_decision_matches_the_oracle(item):
+    outcome = _outcome(classify, item)
+    assert outcome == _outcome(_oracle_classify, item)
+    if isinstance(outcome, TaxonomyRecord):
+        assert outcome.redundancy == "redundant"
+        assert outcome.encoded_size == cbor.item_size(item)
+
+
+def _nest(levels):
+    node = Text("x")
+    for _ in range(levels):
+        node = Array([node])
+    return node
+
+
+@pytest.mark.parametrize("late, error", [
+    (Map([(Text("\ud800"), Uint(1))]), cbor.InvalidUtf8),
+    (_nest(128), cbor.DepthExceeded),
+    (Simple(20), cbor.InvalidSimple),
+], ids=["lone-surrogate", "too-deep", "simple-20"])
+def test_classify_faults_after_an_early_decision(late, error):
+    item = _decided_first(late)
+    with pytest.raises(error):
+        cbor.encode(item)
+    with pytest.raises(error):
+        classify(item, 100)
+
+
+def test_classify_depth_bound_after_an_early_decision():
+    # The deepest subtree that fits below the decision: its text is 128 levels down.
+    item = _decided_first(_nest(127))
+    assert classify(item, 100).encoded_size == cbor.item_size(item)
+
+
 def test_classify_depth_bound_matches_encode():
     leaf = Text("x")
     for levels, wrap in ((128, lambda n: Array([n])), (128, lambda n: Tag(6, n))):

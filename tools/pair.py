@@ -2,20 +2,27 @@
 
     python3 tools/pair.py --parent HEAD~1 --corpus large --seed 1 --pairs 10
     python3 tools/pair.py --parent-src /path/to/old/src --corpus small
+    python3 tools/pair.py --parent HEAD~1 --corpus json --batches 2
 
 The change is the ``src/`` of this checkout.  The parent is either a source
 tree (``--parent-src``, the directory that holds ``cborkit/``) or a git
 revision (``--parent``, unpacked with ``git archive`` into a temporary
 directory).  Both trees are imported into this one process under two
 package names, and each layer is timed per batch of a ``perfbench/corpus.py``
-corpus: ``decode_wire`` on the batch's wire messages, ``encode_wire``, the
-classic size, ``compare_modes`` on the decoded messages, and
-``cli.run(["dns", "compare", ...])`` on the batch's hex file.  Every pair
-times both sides on every batch and layer, and which side runs first
-alternates from pair to pair.  For each layer the tool prints the parent's
-and the change's median µs per message and the median change/parent ratio
-with its quartiles, over all (pair, batch) samples.  It exits with status 1
-if the two sides' ``dns compare`` CSVs differ on any batch.
+corpus.  On the DNS corpora (``small``, ``large``) the layers are
+``decode_wire`` on the batch's wire messages, ``encode_wire``, the classic
+size, ``compare_modes`` on the decoded messages, and
+``cli.run(["dns", "compare", ...])`` on the batch's hex file.  On the
+``json`` corpus (``json_corpus(seed, batches, rounds=3)``, one directory per
+batch) they are the four stages of ``json analyze`` on the batch's
+documents: ``parse_json``, ``json_to_cbor``, ``minify`` with its UTF-8
+length and ``classify``, and then ``cli.run(["json", "analyze", ...])`` on
+the directory.  Every pair times both sides on every batch and layer, and
+which side runs first alternates from pair to pair.  For each layer the
+tool prints the parent's and the change's median µs per message or
+document and the median change/parent ratio with its quartiles, over all
+(pair, batch) samples.  It exits with status 1 if the two sides' CSVs
+differ on any batch.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("decode_wire", "encode_wire", "classic_size", "compare_modes", "dns_compare")
+DNS_LAYERS = ("decode_wire", "encode_wire", "classic_size", "compare_modes", "dns_compare")
+JSON_LAYERS = ("parse_json", "json_to_cbor", "minify", "classify", "json_analyze")
 
 
 def _load_corpus_module():
@@ -55,11 +63,11 @@ def load_tree(src: Path, package: str):
         package, init, submodule_search_locations=[str(init.parent)])
     sys.modules[package] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sys.modules[package])
-    names = ("analysis", "cli", "dnswire")
+    names = ("analysis", "cbor", "cli", "dnswire", "jsonbridge", "taxonomy")
     return types.SimpleNamespace(**{n: importlib.import_module(package + "." + n) for n in names})
 
 
-def _layers(kit, wires: list[bytes], hexfile: Path, csvfile: Path) -> dict:
+def _dns_layers(kit, wires: list[bytes], hexfile: Path, csvfile: Path) -> dict:
     """Each layer's operation over one batch, as a function of no arguments."""
     decode, encode = kit.dnswire.decode_wire, kit.dnswire.encode_wire
     messages = [decode(wire) for wire in wires]
@@ -81,6 +89,59 @@ def _layers(kit, wires: list[bytes], hexfile: Path, csvfile: Path) -> dict:
     }
 
 
+def _json_layers(kit, texts: list[str], directory: Path, csvfile: Path) -> dict:
+    """The stages of ``json analyze`` over one batch, as functions of no arguments."""
+    parse, convert, minify = kit.jsonbridge.parse_json, kit.jsonbridge.json_to_cbor, kit.jsonbridge.minify
+    classify, utf8 = kit.taxonomy.classify, kit.cbor.utf8
+    values = [parse(text) for text in texts]
+    items = [convert(value) for value in values]
+    sizes = [len(utf8(minify(value))) for value in values]
+    argv = ["json", "analyze", "--in", str(directory), "--out", str(csvfile)]
+
+    def json_analyze():
+        if kit.cli.run(argv) != 0:
+            raise SystemExit("pair: json analyze failed on %s" % directory)
+
+    return {
+        "parse_json": lambda: [parse(text) for text in texts],
+        "json_to_cbor": lambda: [convert(value) for value in values],
+        "minify": lambda: [len(utf8(minify(value))) for value in values],
+        "classify": lambda: [classify(item, size) for item, size in zip(items, sizes)],
+        "json_analyze": json_analyze,
+    }
+
+
+def _dns_ops(corpus_module, corpus: str, seed: int, batches: int, sides: dict, work: Path) -> list:
+    if corpus == "large":
+        corpus_batches = corpus_module.large_corpus(seed, rounds=batches)
+    else:
+        corpus_batches = corpus_module.small_corpus(seed, batches=batches, exchanges=200)
+    ops = []
+    for b, batch in enumerate(corpus_batches):
+        wires = [corpus_module.to_wire(msg) for msg in batch]
+        hexfile = work / ("b%02d.hex" % b)
+        hexfile.write_text("".join(wire.hex() + "\n" for wire in wires))
+        ops.append((len(wires), {
+            side: _dns_layers(kit, wires, hexfile, work / ("b%02d-%s.csv" % (b, side)))
+            for side, kit in sides.items()
+        }))
+    return ops
+
+
+def _json_ops(corpus_module, seed: int, batches: int, sides: dict, work: Path) -> list:
+    ops = []
+    for b, texts in enumerate(corpus_module.json_corpus(seed, batches=batches, rounds=3)):
+        directory = work / ("b%02d" % b)
+        directory.mkdir()
+        for j, text in enumerate(texts):
+            (directory / ("doc%02d.json" % j)).write_text(text, encoding="utf-8")
+        ops.append((len(texts), {
+            side: _json_layers(kit, texts, directory, work / ("b%02d-%s.csv" % (b, side)))
+            for side, kit in sides.items()
+        }))
+    return ops
+
+
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -90,29 +151,21 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def pair(parent_src: Path, change_src: Path, corpus: str, seed: int, batches: int, pairs: int) -> int:
     corpus_module = _load_corpus_module()
-    if corpus == "large":
-        corpus_batches = corpus_module.large_corpus(seed, rounds=batches)
-    else:
-        corpus_batches = corpus_module.small_corpus(seed, batches=batches, exchanges=200)
     sides = {"parent": load_tree(parent_src, "pair_parent"), "change": load_tree(change_src, "pair_change")}
-    times = {side: {layer: [] for layer in LAYERS} for side in sides}
-    ratios = {layer: [] for layer in LAYERS}
+    layer_names = JSON_LAYERS if corpus == "json" else DNS_LAYERS
+    times = {side: {layer: [] for layer in layer_names} for side in sides}
+    ratios = {layer: [] for layer in layer_names}
     mismatched = []
     with tempfile.TemporaryDirectory(prefix="pair-") as tmp:
         work = Path(tmp)
-        ops = []
-        for b, batch in enumerate(corpus_batches):
-            wires = [corpus_module.to_wire(msg) for msg in batch]
-            hexfile = work / ("b%02d.hex" % b)
-            hexfile.write_text("".join(wire.hex() + "\n" for wire in wires))
-            ops.append((len(wires), {
-                side: _layers(kit, wires, hexfile, work / ("b%02d-%s.csv" % (b, side)))
-                for side, kit in sides.items()
-            }))
+        if corpus == "json":
+            ops = _json_ops(corpus_module, seed, batches, sides, work)
+        else:
+            ops = _dns_ops(corpus_module, corpus, seed, batches, sides, work)
         for p in range(pairs):
             order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
             for b, (count, layers) in enumerate(ops):
-                for layer in LAYERS:
+                for layer in layer_names:
                     took = {}
                     for side in order:
                         start = time.perf_counter()
@@ -124,18 +177,19 @@ def pair(parent_src: Path, change_src: Path, corpus: str, seed: int, batches: in
                     csvs = [(work / ("b%02d-%s.csv" % (b, side))).read_bytes() for side in sides]
                     if csvs[0] != csvs[1]:
                         mismatched.append(b)
-    print("%s corpus, seed %d, %d batch(es), %d pair(s); per message in µs, ratio change/parent"
-          % (corpus, seed, len(ops), pairs))
+    command, unit = ("json analyze", "document") if corpus == "json" else ("dns compare", "message")
+    print("%s corpus, seed %d, %d batch(es), %d pair(s); per %s in µs, ratio change/parent"
+          % (corpus, seed, len(ops), pairs, unit))
     print("%-14s %10s %10s %8s %17s" % ("layer", "parent", "change", "ratio", "quartiles"))
-    for layer in LAYERS:
+    for layer in layer_names:
         low, mid, high = _quartiles(ratios[layer])
         print("%-14s %10.1f %10.1f %8.3f   [%.3f, %.3f]" % (
             layer, statistics.median(times["parent"][layer]), statistics.median(times["change"][layer]),
             mid, low, high))
     if mismatched:
-        print("pair: dns compare CSVs differ on batch(es) %s" % mismatched)
+        print("pair: %s CSVs differ on batch(es) %s" % (command, mismatched))
         return 1
-    print("dns compare CSVs identical on every batch")
+    print("%s CSVs identical on every batch" % command)
     return 0
 
 
@@ -153,9 +207,9 @@ def main(argv=None) -> int:
     parent = parser.add_mutually_exclusive_group(required=True)
     parent.add_argument("--parent-src", type=Path, help="the parent's source tree (holds cborkit/)")
     parent.add_argument("--parent", help="a git revision of this repository")
-    parser.add_argument("--corpus", choices=("small", "large"), default="large")
+    parser.add_argument("--corpus", choices=("small", "large", "json"), default="large")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--batches", type=int, default=4, help="corpus batches (large: rounds)")
+    parser.add_argument("--batches", type=int, default=4, help="corpus batches (large: rounds; json: directories)")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="pair-parent-") as tmp:
