@@ -65,20 +65,6 @@ def _run_batch(fn, inputs: list, noun: str, labels: list[str] | None = None) -> 
     return results
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _write_output(data: bytes, out: str | None, as_hex: bool) -> None:
     if out:
         Path(out).write_bytes(data.hex().encode() + b"\n" if as_hex else data)
@@ -96,7 +82,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _load_cbor_input(path: str, as_hex: bool) -> bytes:
-    raw = _read_bytes(path)
+    raw = Path(path).read_bytes()
     if as_hex:
         try:
             return bytes.fromhex("".join(raw.decode("ascii").split()))
@@ -124,7 +110,7 @@ def _report_flags(report: list[str]) -> None:
 def _make_context(args) -> CodecContext:
     request_question = None
     if args.request:
-        request = decode_wire(_read_bytes(args.request))
+        request = decode_wire(Path(args.request).read_bytes())
         if not request.questions:
             raise CliError("request file carries no question")
         request_question = request.questions[0]
@@ -155,7 +141,7 @@ def _cmd_cbor_diag(args) -> int:
 
 def _cmd_json_to_cbor(args) -> int:
     report: list[str] = []
-    value = jsonbridge.parse_json(_read_text(args.infile))
+    value = jsonbridge.parse_json(Path(args.infile).read_text(encoding="utf-8"))
     item = jsonbridge.json_to_cbor(value, args.float_mode, report)
     _report_flags(report)
     _write_item(item, args)
@@ -172,13 +158,14 @@ def _cmd_json_from_cbor(args) -> int:
 
 
 def _cmd_json_minify(args) -> int:
-    _write_text(jsonbridge.minify(jsonbridge.parse_json(_read_text(args.infile))), args.out)
+    text = Path(args.infile).read_text(encoding="utf-8")
+    _write_text(jsonbridge.minify(jsonbridge.parse_json(text)), args.out)
     return 0
 
 
 def _cmd_json_blob(args) -> int:
     if args.input_format == "json":
-        value = jsonbridge.parse_json(_read_text(args.infile))
+        value = jsonbridge.parse_json(Path(args.infile).read_text(encoding="utf-8"))
         item = jsonbridge.json_to_cbor(value, args.float_mode)
     else:
         item = _decode_one(_load_cbor_input(args.infile, args.hex))
@@ -225,7 +212,7 @@ def _cmd_json_analyze(args) -> int:
 
 
 def _cmd_dns_to_cbor(args) -> int:
-    msg = decode_wire(_read_bytes(args.infile))
+    msg = decode_wire(Path(args.infile).read_bytes())
     encoded = analysis.encode_in_mode(msg, _make_context(args), args.mode)
     if encoded.dropped_answers:
         print(
@@ -253,7 +240,7 @@ def _report_pcap(stats: analysis.PcapStats) -> None:
 
 
 def _load_corpus(path: str):
-    data = _read_bytes(path)
+    data = Path(path).read_bytes()
     if data[:4] in analysis.PCAP_MAGICS:
         records, stats = analysis.ingest_pcap(data)
         _report_pcap(stats)
@@ -288,7 +275,7 @@ def _cmd_dns_suffix_stats(args) -> int:
 
 
 def _cmd_pcap_extract(args) -> int:
-    records, stats = analysis.ingest_pcap(_read_bytes(args.infile))
+    records, stats = analysis.ingest_pcap(Path(args.infile).read_bytes())
     lines = [encode_wire(record.message).hex() for record in records]
     _write_text("\n".join(lines) + ("\n" if lines else ""), args.out)
     _report_pcap(stats)
@@ -328,23 +315,23 @@ def _cmd_bench(args) -> int:
     iterations = args.iterations
     operations = {}
     if args.target == "json":
-        text = _read_text(args.infile) if args.infile else _BENCH_JSON
+        text = Path(args.infile).read_text(encoding="utf-8") if args.infile else _BENCH_JSON
         value = jsonbridge.parse_json(text)
         operations["parse"] = lambda: jsonbridge.parse_json(text)
         operations["minify"] = lambda: jsonbridge.minify(value)
     elif args.target == "cbor":
-        text = _read_text(args.infile) if args.infile else _BENCH_JSON
+        text = Path(args.infile).read_text(encoding="utf-8") if args.infile else _BENCH_JSON
         item = jsonbridge.json_to_cbor(jsonbridge.parse_json(text))
         blob = cbor.encode(item)
         operations["encode"] = lambda: cbor.encode(item)
         operations["decode"] = lambda: cbor.decode(blob)
     elif args.target == "dnswire":
-        msg = decode_wire(_read_bytes(args.infile)) if args.infile else _bench_fixture_message()
+        msg = decode_wire(Path(args.infile).read_bytes()) if args.infile else _bench_fixture_message()
         wire = encode_wire(msg)
         operations["encode"] = lambda: encode_wire(msg)
         operations["decode"] = lambda: decode_wire(wire)
     else:
-        msg = decode_wire(_read_bytes(args.infile)) if args.infile else _bench_fixture_message()
+        msg = decode_wire(Path(args.infile).read_bytes()) if args.infile else _bench_fixture_message()
         role = ROLE_RESPONSE if msg.is_response else ROLE_QUERY
         ctx = CodecContext(role=role)
         encoded = dnscbor.encode_message(msg, ctx)
@@ -354,6 +341,12 @@ def _cmd_bench(args) -> int:
         mean, stddev = _time_us(fn, iterations)
         print("%s %s: %.1f +/- %.1f us (n=%d)" % (args.target, label, mean, stddev, iterations))
     return 0
+
+
+def _at_least_one(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("%s is below 1" % text)
+    return int(text)
 
 
 def _add_io(parser, binary: bool = True) -> None:
@@ -454,15 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="non-asserting runtime report")
     p.add_argument("--target", choices=BENCH_TARGETS, required=True)
-    p.add_argument("--iterations", type=int, default=100)
+    p.add_argument("--iterations", type=_at_least_one, default=100)
     p.add_argument("--in", dest="infile", help="optional fixture input")
     p.set_defaults(func=_cmd_bench)
 
     return parser
 
 
+# Any failure to read an input or write an output is an input error too.
 _INPUT_ERRORS = (
     CliError,
+    OSError,
+    UnicodeDecodeError,
     cbor.CborError,
     jsonbridge.JsonBridgeError,
     taxonomy.TaxonomyError,

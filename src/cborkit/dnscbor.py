@@ -30,11 +30,14 @@ jumping to the indexed component and appending what follows.  One helper,
 ``component_size``, which sizes a component mode from the plain encoding;
 the two also share the layout rules (``_question_tail``, ``_elides_owner``,
 ``_rdata_fields`` and ``_SPLICED_TYPES``).
+
+``item_to_message``, where ``decode_message`` ends, is the one place where
+a wire-model error (a ``DnsWireError`` from a label, name, field or rdata
+that does not fit, or a lone surrogate in a label) becomes ``TypeMismatch``.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from . import cbor
@@ -366,18 +369,11 @@ def _expect_uint(item: CborItem, bits: int, what: str) -> int:
     return item.value
 
 
-# Each layout's fixed integers as bit widths, before and after its names.
-_FIXED_BITS = {
-    rtype: tuple(tuple(8 * struct.calcsize(">" + code) for code in codes) for codes in (head, tail))
-    for rtype, (head, _, tail) in RDATA_LAYOUTS.items()
-}
-
-
-def _expect_fixed(widths: tuple[int, ...], items: list[CborItem]) -> tuple[int, ...]:
-    """Fixed rdata integers, each at most as wide as its width in bits."""
-    return tuple(
-        _expect_uint(item, bits, "rdata field") for bits, item in zip(widths, items)
-    )
+def _fixed_fields(items: list[CborItem]) -> tuple[int, ...]:
+    """Fixed rdata integers; ``pack_rdata`` holds each to its width."""
+    if not all(isinstance(item, Uint) for item in items):
+        raise TypeMismatch("rdata fields must be unsigned integers")
+    return tuple([item.value for item in items])
 
 
 class _Decoder:
@@ -394,10 +390,7 @@ class _Decoder:
         """A plain-mode name: one text string in presentation form."""
         if not isinstance(element, Text):
             raise TypeMismatch("expected a name text string")
-        try:
-            return Name.from_text(element.data)
-        except (UnicodeEncodeError, DnsWireError) as exc:
-            raise TypeMismatch("bad name: %s" % exc) from exc
+        return Name.from_text(element.data)
 
     def parse_name(self, elems: list[CborItem], i: int) -> tuple[Name, int]:
         if self.ctx.mode is None:
@@ -434,11 +427,7 @@ class _Decoder:
         components = tuple(texts) + (tail or ())
         for j in range(len(texts)):
             self.suffixes.append(components[j:])
-        try:
-            labels = tuple(c.encode("utf-8") for c in components)
-            return Name(labels), i
-        except (UnicodeEncodeError, DnsWireError) as exc:
-            raise TypeMismatch("bad name components: %s" % exc) from exc
+        return Name(tuple([c.encode("utf-8") for c in components])), i
 
     def parse_nested_name(self, element: CborItem) -> Name:
         if self.ctx.mode is None:
@@ -502,11 +491,10 @@ class _Decoder:
                         % (rtype, len(head), count, len(tail))
                     )
                 n = len(head)
-                head_bits, tail_bits = _FIXED_BITS[rtype]
                 fields = RdataFields(
-                    _expect_fixed(head_bits, f[:n]),
+                    _fixed_fields(f[:n]),
                     tuple(self.parse_nested_name(x) for x in f[n : n + count]),
-                    _expect_fixed(tail_bits, f[n + count :]),
+                    _fixed_fields(f[n + count :]),
                 )
                 return pack_rdata(rtype, fields), i + 1
         if not isinstance(element, Bytes):
@@ -517,63 +505,67 @@ class _Decoder:
 
 
 def item_to_message(item: CborItem, ctx: CodecContext) -> DnsMessage:
-    if not isinstance(item, Array):
-        raise TypeMismatch("message must be a CBOR array")
-    elems = item.items
-    if not elems:
-        raise TypeMismatch("empty message array")
-    decoder = _Decoder(ctx)
-    i = 0
-    flags = ctx.default_flags
-    if isinstance(elems[i], Uint):
-        flags = _expect_uint(elems[i], 16, "flags")
-        i += 1
-    question: Question | None = None
-    element = elems[i] if i < len(elems) else None
-    if (
-        isinstance(element, Array)
-        and element.items
-        and (isinstance(element.items[0], Text) or decoder.is_ref(element.items[0]))
-    ):
-        question = decoder.parse_question(element)
-        i += 1
-    if question is None:
-        if ctx.role != ROLE_RESPONSE:
-            raise TypeMismatch("query without a question section")
-        if ctx.request_question is None:
-            raise MissingQuestionContext(
-                "response elides the question and no request context was given"
+    """The one place where a wire-model error becomes ``TypeMismatch``."""
+    try:
+        if not isinstance(item, Array):
+            raise TypeMismatch("message must be a CBOR array")
+        elems = item.items
+        if not elems:
+            raise TypeMismatch("empty message array")
+        decoder = _Decoder(ctx)
+        i = 0
+        flags = ctx.default_flags
+        if isinstance(elems[i], Uint):
+            flags = _expect_uint(elems[i], 16, "flags")
+            i += 1
+        question: Question | None = None
+        element = elems[i] if i < len(elems) else None
+        if (
+            isinstance(element, Array)
+            and element.items
+            and (isinstance(element.items[0], Text) or decoder.is_ref(element.items[0]))
+        ):
+            question = decoder.parse_question(element)
+            i += 1
+        if question is None:
+            if ctx.role != ROLE_RESPONSE:
+                raise TypeMismatch("query without a question section")
+            if ctx.request_question is None:
+                raise MissingQuestionContext(
+                    "response elides the question and no request context was given"
+                )
+            q = ctx.request_question
+            question = Question(q.name, q.rtype, q.rclass)
+        section_items = elems[i:]
+        count = len(section_items)
+        answers: list[ResourceRecord] = []
+        authority: list[ResourceRecord] = []
+        additional: list[ResourceRecord] = []
+        if ctx.role == ROLE_RESPONSE:
+            order = {1: ("an",), 2: ("an", "ar"), 3: ("an", "ns", "ar")}.get(count)
+        elif count == 3 and ctx.allow_query_answers:
+            order = ("an", "ns", "ar")
+        else:
+            order = {0: (), 1: ("ar",), 2: ("ns", "ar")}.get(count)
+        if count and order is None:
+            raise TypeMismatch("%d section arrays do not fit role %s" % (count, ctx.role))
+        targets = {"an": answers, "ns": authority, "ar": additional}
+        for slot, section in zip(order or (), section_items):
+            if not isinstance(section, Array):
+                raise TypeMismatch("section must be an array of records")
+            targets[slot].extend(
+                decoder.parse_rr(rr, question.name) for rr in section.items
             )
-        q = ctx.request_question
-        question = Question(q.name, q.rtype, q.rclass)
-    section_items = elems[i:]
-    count = len(section_items)
-    answers: list[ResourceRecord] = []
-    authority: list[ResourceRecord] = []
-    additional: list[ResourceRecord] = []
-    if ctx.role == ROLE_RESPONSE:
-        order = {1: ("an",), 2: ("an", "ar"), 3: ("an", "ns", "ar")}.get(count)
-    elif count == 3 and ctx.allow_query_answers:
-        order = ("an", "ns", "ar")
-    else:
-        order = {0: (), 1: ("ar",), 2: ("ns", "ar")}.get(count)
-    if count and order is None:
-        raise TypeMismatch("%d section arrays do not fit role %s" % (count, ctx.role))
-    targets = {"an": answers, "ns": authority, "ar": additional}
-    for slot, section in zip(order or (), section_items):
-        if not isinstance(section, Array):
-            raise TypeMismatch("section must be an array of records")
-        targets[slot].extend(
-            decoder.parse_rr(rr, question.name) for rr in section.items
+        return DnsMessage(
+            id=0,
+            flags=flags,
+            questions=[question],
+            answers=answers,
+            authority=authority,
+            additional=additional,
         )
-    return DnsMessage(
-        id=0,
-        flags=flags,
-        questions=[question],
-        answers=answers,
-        authority=authority,
-        additional=additional,
-    )
+    except (DnsWireError, UnicodeEncodeError) as exc:
+        raise TypeMismatch("%s: %s" % (type(exc).__name__, exc)) from exc
 
 
 def decode_message(data: bytes, ctx: CodecContext) -> DnsMessage:

@@ -388,3 +388,10 @@ def test_c12_bench_reports_not_asserted(capsys):
             assert cli_run(["bench", "--target", target, "--iterations", "10"]) == 0
         out = capsys.readouterr().out
         assert out.count("n=10") == 8  # two operations per target
+
+
+def test_c12_bench_iterations_below_one_is_a_usage_error(capsys):
+    # No mean or spread exists for fewer than one sample.
+    for iterations in ("0", "-1"):
+        assert cli_run(["bench", "--target", "json", "--iterations", iterations]) == 2
+        assert "--iterations: %s is below 1" % iterations in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """The decoder contract: whatever bytes a decoder is given, it returns a
-value or raises its module's declared error family.
+value or raises its module's declared error family.  And the CLI's: whatever
+input file and ``--out`` a command is given, ``cli.run`` returns 0, 1 or 2,
+and on 1 its last stderr line is the ``error:`` line.
 
 Inputs are seed encodings with a few bytes overwritten, inserted or
 removed, or cut short.  Mutated wire messages that still decode are also
@@ -10,10 +12,14 @@ the same cases.
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_pcap, build_udp_frame, random_message
+from cborkit import cbor, dnspacked
+from cborkit.cbor import Array, Bytes, CborError, CborItem, Text, Uint
+from cborkit.cli import run
 from cborkit.analysis import (
     MODES,
     AnalysisError,
@@ -22,11 +28,18 @@ from cborkit.analysis import (
     encode_in_mode,
     ingest_pcap,
 )
-from cborkit.cbor import CborError
-from cborkit.dnscbor import CodecContext, DnsCborError, ROLE_QUERY, ROLE_RESPONSE
+from cborkit.dnscbor import (
+    CodecContext,
+    ComponentRef,
+    DnsCborError,
+    ROLE_QUERY,
+    ROLE_RESPONSE,
+    TypeMismatch,
+    item_to_message,
+)
 from cborkit.dnspacked import DnsPackedError
-from cborkit.dnswire import DnsMessage, DnsWireError, decode_wire, encode_wire
-from cborkit.jsonbridge import JsonBridgeError, parse_json
+from cborkit.dnswire import DnsMessage, DnsWireError, TYPE_A, TYPE_TXT, decode_wire, encode_wire
+from cborkit.jsonbridge import JsonBridgeError, blob_tag_base64, json_to_cbor, parse_json
 
 # The declared families of the modules an encoding runs through.
 _DNS_ERRORS = (CborError, DnsCborError, DnsPackedError, DnsWireError)
@@ -164,3 +177,114 @@ def test_ingest_pcap_contract(data):
         ingest_pcap(data)
     except AnalysisError:
         pass
+
+
+# Fixed cases: an rdata or a label that the CBOR item holds but the wire
+# model cannot, in each decode mode.
+
+
+def _response_item(name: CborItem, rdata_length: int = 0) -> Array:
+    """A response whose question is ``name`` and whose one answer is a TXT
+    record with ``rdata_length`` bytes of rdata; it decodes the same in
+    plain and component mode."""
+    answer = Array([Uint(60), Uint(TYPE_TXT), Bytes(b"x" * rdata_length)])
+    return Array([Array([name, Uint(TYPE_A)]), Array([answer])])
+
+
+def _in_mode(item: Array, mode: str) -> bytes:
+    if mode == "packedfull":
+        return dnspacked.pack(item, dnspacked.PACKED_FULL).encode()
+    return cbor.encode(item)
+
+
+@pytest.mark.parametrize("mode", ["unpacked", "compref10", "packedfull"])
+def test_rdata_longer_than_the_wire_allows_is_type_mismatch(mode):
+    ctx = CodecContext(role=ROLE_RESPONSE)
+    msg = decode_in_mode(_in_mode(_response_item(Text("example"), 0xFFFF), mode), ctx, mode)
+    assert len(msg.answers[0].rdata) == 0xFFFF
+    with pytest.raises(TypeMismatch, match="SectionOverflow"):
+        decode_in_mode(_in_mode(_response_item(Text("example"), 0x10000), mode), ctx, mode)
+
+
+@pytest.mark.parametrize("mode", ["unpacked", "compref10"])
+def test_labels_the_wire_model_rejects_are_type_mismatch(mode):
+    ctx = CodecContext(role=ROLE_RESPONSE)
+    with pytest.raises(TypeMismatch, match="LabelOverflow"):
+        decode_in_mode(cbor.encode(_response_item(Text("a" * 64))), ctx, mode)
+    ctx = CodecContext(role=ROLE_RESPONSE, mode=MODES[mode][0])
+    with pytest.raises(TypeMismatch, match="UnicodeEncodeError"):
+        item_to_message(_response_item(Text("\ud800")), ctx)
+
+
+# The CLI contract.  Each form is the command's arguments and the seeds its
+# input file is mutated from; ``json analyze`` reads a directory holding it.
+_RESPONSES = [msg for msg, role, _ in _SEEDS if role == ROLE_RESPONSE]
+_CBOR = [cbor.encode(json_to_cbor(parse_json(text))) for text in _JSON]
+_BLOB = b'{"type": "file", "encoding": "base64", "content": "aGk=", "size": 2}'
+_HEX_CORPUS = ["".join(wire.hex() + "\n" for wire in _WIRES).encode()]
+_CLI_FORMS = [
+    (["cbor", "encode"], [data.hex().encode() for data in _CBOR]),
+    (["cbor", "decode"], _CBOR),
+    (["cbor", "diag", "--hex"], [data.hex().encode() for data in _CBOR]),
+    (["json", "to-cbor"], _JSON),
+    (["json", "from-cbor"], _CBOR),
+    (["json", "minify"], _JSON),
+    (["json", "blob-transform", "--step", "tag34"], [_BLOB]),
+    (["json", "blob-transform", "--step", "bstr", "--input-format", "cbor"],
+     [cbor.encode(blob_tag_base64(json_to_cbor(parse_json(_BLOB))))]),
+    (["json", "analyze"], _JSON),
+    (["dns", "to-cbor", "--role", "r", "--mode", "packedfull"], [encode_wire(m) for m in _RESPONSES]),
+    (["dns", "to-cbor", "--role", "r", "--mode", "compref10"], [encode_wire(m) for m in _RESPONSES]),
+] + [
+    (["dns", "from-cbor", "--role", "r", "--mode", mode],
+     [encode_in_mode(m, CodecContext(role=ROLE_RESPONSE), mode).data for m in _RESPONSES])
+    for mode in ("packedfull", "compref10")
+] + [
+    (["dns", "compare"], _HEX_CORPUS),
+    (["dns", "compare"], _PCAPS),
+    (["dns", "suffix-stats"], _HEX_CORPUS),
+    (["pcap", "extract"], _PCAPS),
+]
+_BENCH_SEEDS = {"json": _JSON, "cbor": _JSON, "dnswire": _WIRES, "dnscbor": _WIRES}
+
+
+def _cli_input(tmp_path, args: list[str], data: bytes) -> str:
+    infile = tmp_path / "in" / "doc.json"
+    infile.parent.mkdir(exist_ok=True)
+    infile.write_bytes(data)
+    return str(infile.parent if args == ["json", "analyze"] else infile)
+
+
+def _run_cli(capsys, argv: list[str]) -> int:
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err and err[-1].startswith("error: ")
+    return code
+
+
+@pytest.mark.parametrize("args, seeds", _CLI_FORMS,
+                         ids=[" ".join(a) + (" pcap" if s is _PCAPS else "") for a, s in _CLI_FORMS])
+def test_an_unwritable_out_is_an_input_error(tmp_path, capsys, args, seeds):
+    argv = args + ["--in", _cli_input(tmp_path, args, seeds[0])]
+    assert _run_cli(capsys, argv + ["--out", str(tmp_path / "out")]) == 0
+    for out in (tmp_path / "missing" / "out", tmp_path):
+        assert _run_cli(capsys, argv + ["--out", str(out)]) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_contract(tmp_path, capsys, data):
+    args, seeds = data.draw(st.sampled_from(_CLI_FORMS + [(["bench"], None)]))
+    if seeds is None:
+        target = data.draw(st.sampled_from(sorted(_BENCH_SEEDS)))
+        argv = ["bench", "--target", target, "--iterations", str(data.draw(st.integers(-1, 2)))]
+        if data.draw(st.booleans()):
+            argv += ["--in", _cli_input(tmp_path, argv, data.draw(_mutated(_BENCH_SEEDS[target])))]
+    else:
+        out = data.draw(st.sampled_from([tmp_path / "out", tmp_path / "missing" / "out", tmp_path]))
+        argv = args + ["--in", _cli_input(tmp_path, args, data.draw(_mutated(seeds))), "--out", str(out)]
+    _run_cli(capsys, argv)
