@@ -1,5 +1,9 @@
 """Per-message size comparison, pairwise suffix/prefix statistics, and
 corpus ingestion from hex dumps or legacy pcap captures.
+
+The readers return each input they drop as a skip, ``(label, error)``:
+``line N`` for a hex line (a ValueError, else the DnsWireError) and
+``packet N``, counted from 1, for a UDP DNS payload that does not decode.
 """
 
 from __future__ import annotations
@@ -230,34 +234,25 @@ class Record(NamedTuple):
     flow: frozenset | None = None  # {(ip bytes, port), (ip bytes, port)}
 
 
-class LineError(NamedTuple):
-    line_no: int
-    error: Exception  # ValueError for bad hex, else the DnsWireError
-
-
-def ingest_hex(lines: Iterable[str]) -> tuple[list[Record], list[LineError]]:
+def ingest_hex(lines: Iterable[str]) -> tuple[list[Record], list[tuple[str, Exception]]]:
     """One lowercase hex message per line; '#' comments and blanks skipped."""
     records: list[Record] = []
-    errors: list[LineError] = []
+    skips: list[tuple[str, Exception]] = []
     for line_no, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         try:
-            msg = decode_wire(bytes.fromhex(text))
+            records.append(Record(decode_wire(bytes.fromhex(text))))
         except (ValueError, DnsWireError) as exc:
-            errors.append(LineError(line_no, exc))
-            continue
-        records.append(Record(msg))
-    return records, errors
+            skips.append(("line %d" % line_no, exc))
+    return records, skips
 
 
 @dataclass
 class PcapStats:
     packets: int = 0
-    decoded: int = 0
     skipped_non_dns: int = 0
-    decode_errors: int = 0
     ipv6_extension_headers: int = 0
 
 
@@ -270,7 +265,7 @@ _V6_EXTENSIONS = {0, 43, 60}
 _V6_FRAGMENT = 44
 
 
-def ingest_pcap(data: bytes) -> tuple[list[Record], PcapStats]:
+def ingest_pcap(data: bytes) -> tuple[list[Record], list[tuple[str, Exception]], PcapStats]:
     if len(data) < 24:
         raise BadMagic("file shorter than a pcap global header")
     endian = PCAP_MAGICS.get(data[:4])
@@ -280,6 +275,7 @@ def ingest_pcap(data: bytes) -> tuple[list[Record], PcapStats]:
     if linktype != _LINKTYPE_ETHERNET:
         raise UnsupportedLinkType("linktype %d (only Ethernet supported)" % linktype)
     records: list[Record] = []
+    skips: list[tuple[str, Exception]] = []
     stats = PcapStats()
     pos = 24
     while pos + 16 <= len(data):
@@ -296,13 +292,10 @@ def ingest_pcap(data: bytes) -> tuple[list[Record], PcapStats]:
             continue
         payload, flow = parsed
         try:
-            msg = decode_wire(payload)
-        except DnsWireError:
-            stats.decode_errors += 1
-            continue
-        stats.decoded += 1
-        records.append(Record(msg, flow))
-    return records, stats
+            records.append(Record(decode_wire(payload), flow))
+        except DnsWireError as exc:
+            skips.append(("packet %d" % stats.packets, exc))
+    return records, skips, stats
 
 
 def _parse_frame(frame: bytes, stats: PcapStats):

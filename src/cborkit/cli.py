@@ -41,27 +41,26 @@ class CliError(Exception):
     pass
 
 
-def _failure(exc: Exception) -> str:
-    return "%s: %s" % (type(exc).__name__, exc)
-
-
-def _report_skip(label: str, failure: str) -> None:
-    print("%s skipped: %s" % (label, failure), file=sys.stderr)
+def _report(skips: list[tuple[str, Exception]], noun: str | None = None) -> None:
+    """Name each dropped input on stderr and, given a noun, count them."""
+    for label, exc in skips:
+        print("%s skipped: %s: %s" % (label, type(exc).__name__, exc), file=sys.stderr)
+    if skips and noun:
+        print("%d %s(s) skipped" % (len(skips), noun), file=sys.stderr)
 
 
 def _run_batch(fn, inputs: list, noun: str, labels: list[str] | None = None) -> dict:
     """Map ``fn`` over ``inputs`` in order; return {input index: result} for
-    the inputs that did not raise.  Each one that did is named on stderr (by
-    its label, else by noun and index) with its exception class, and a last
-    line counts them."""
+    the inputs that did not raise, and report the rest, each labelled by
+    its label, else by noun and index."""
     results = {}
+    skips = []
     for index, arg in enumerate(inputs):
         try:
             results[index] = fn(arg)
         except Exception as exc:  # one bad input never ends the run
-            _report_skip(labels[index] if labels else "%s %d" % (noun, index), _failure(exc))
-    if len(results) < len(inputs):
-        print("%d %s(s) skipped" % (len(inputs) - len(results), noun), file=sys.stderr)
+            skips.append((labels[index] if labels else "%s %d" % (noun, index), exc))
+    _report(skips, noun)
     return results
 
 
@@ -141,7 +140,7 @@ def _cmd_cbor_diag(args) -> int:
 
 def _cmd_json_to_cbor(args) -> int:
     report: list[str] = []
-    value = jsonbridge.parse_json(Path(args.infile).read_text(encoding="utf-8"))
+    value = jsonbridge.parse_json(Path(args.infile).read_bytes())
     item = jsonbridge.json_to_cbor(value, args.float_mode, report)
     _report_flags(report)
     _write_item(item, args)
@@ -158,14 +157,14 @@ def _cmd_json_from_cbor(args) -> int:
 
 
 def _cmd_json_minify(args) -> int:
-    text = Path(args.infile).read_text(encoding="utf-8")
-    _write_text(jsonbridge.minify(jsonbridge.parse_json(text)), args.out)
+    value = jsonbridge.parse_json(Path(args.infile).read_bytes())
+    _write_text(jsonbridge.minify(value), args.out)
     return 0
 
 
 def _cmd_json_blob(args) -> int:
     if args.input_format == "json":
-        value = jsonbridge.parse_json(Path(args.infile).read_text(encoding="utf-8"))
+        value = jsonbridge.parse_json(Path(args.infile).read_bytes())
         item = jsonbridge.json_to_cbor(value, args.float_mode)
     else:
         item = _decode_one(_load_cbor_input(args.infile, args.hex))
@@ -186,7 +185,7 @@ _ANALYZE_COLUMNS = ["file", "minified_size", "cbor_size", "savings_b", "gain_g",
 
 
 def _analyze_one(float_mode: str, path: Path) -> list:
-    value = jsonbridge.parse_json(path.read_text(encoding="utf-8"))
+    value = jsonbridge.parse_json(path.read_bytes())
     # Converting first rejects a too-deep document before minify recurses into it.
     item = jsonbridge.json_to_cbor(value, float_mode)
     minified = len(cbor.utf8(jsonbridge.minify(value)))
@@ -230,26 +229,24 @@ def _cmd_dns_from_cbor(args) -> int:
     return 0
 
 
-def _report_pcap(stats: analysis.PcapStats) -> None:
+def _read_pcap(data: bytes) -> list[analysis.Record]:
+    records, skips, stats = analysis.ingest_pcap(data)
+    _report(skips, "packet")
     print(
         "pcap: %d packets, %d decoded, %d non-DNS, %d undecodable, %d IPv6 extension header(s)"
-        % (stats.packets, stats.decoded, stats.skipped_non_dns, stats.decode_errors,
+        % (stats.packets, len(records), stats.skipped_non_dns, len(skips),
            stats.ipv6_extension_headers),
         file=sys.stderr,
     )
+    return records
 
 
-def _load_corpus(path: str):
+def _load_corpus(path: str) -> list[analysis.Record]:
     data = Path(path).read_bytes()
     if data[:4] in analysis.PCAP_MAGICS:
-        records, stats = analysis.ingest_pcap(data)
-        _report_pcap(stats)
-        return records
-    records, errors = analysis.ingest_hex(data.decode("utf-8", errors="replace").splitlines())
-    for error in errors:
-        _report_skip("line %d" % error.line_no, _failure(error.error))
-    if errors:
-        print("%d line(s) skipped" % len(errors), file=sys.stderr)
+        return _read_pcap(data)
+    records, skips = analysis.ingest_hex(data.decode("utf-8", errors="replace").splitlines())
+    _report(skips, "line")
     return records
 
 
@@ -259,10 +256,8 @@ def _cmd_dns_compare(args) -> int:
     request_for = {id(response): query.message for query, response in pairs if query}
     rows = _run_batch(lambda record: analysis.compare_modes(
         record.message, request_for.get(id(record)), args.query_answers), records, "message")
-    for index, row in rows.items():
-        if row.skipped is not None:
-            modes = "/".join(mode for mode in analysis.MODES if mode not in row.sizes)
-            _report_skip("message %d %s" % (index, modes), _failure(row.skipped))
+    _report([("message %d %s" % (index, "/".join(m for m in analysis.MODES if m not in row.sizes)),
+              row.skipped) for index, row in rows.items() if row.skipped is not None])
     _write_text(analysis.write_csv(rows.values()), args.out)
     return 0
 
@@ -275,16 +270,15 @@ def _cmd_dns_suffix_stats(args) -> int:
 
 
 def _cmd_pcap_extract(args) -> int:
-    records, stats = analysis.ingest_pcap(Path(args.infile).read_bytes())
+    records = _read_pcap(Path(args.infile).read_bytes())
     lines = [encode_wire(record.message).hex() for record in records]
     _write_text("\n".join(lines) + ("\n" if lines else ""), args.out)
-    _report_pcap(stats)
     return 0
 
 
 _BENCH_JSON = (
-    '{"name":"status","count":12,"tags":["a","b","c"],"nested":{"ok":true,'
-    '"ratio":0.25,"ids":[1,2,3,4,5,6,7,8]},"blob":"aGVsbG8gd29ybGQ="}'
+    b'{"name":"status","count":12,"tags":["a","b","c"],"nested":{"ok":true,'
+    b'"ratio":0.25,"ids":[1,2,3,4,5,6,7,8]},"blob":"aGVsbG8gd29ybGQ="}'
 )
 
 
@@ -315,13 +309,13 @@ def _cmd_bench(args) -> int:
     iterations = args.iterations
     operations = {}
     if args.target == "json":
-        text = Path(args.infile).read_text(encoding="utf-8") if args.infile else _BENCH_JSON
-        value = jsonbridge.parse_json(text)
-        operations["parse"] = lambda: jsonbridge.parse_json(text)
+        data = Path(args.infile).read_bytes() if args.infile else _BENCH_JSON
+        value = jsonbridge.parse_json(data)
+        operations["parse"] = lambda: jsonbridge.parse_json(data)
         operations["minify"] = lambda: jsonbridge.minify(value)
     elif args.target == "cbor":
-        text = Path(args.infile).read_text(encoding="utf-8") if args.infile else _BENCH_JSON
-        item = jsonbridge.json_to_cbor(jsonbridge.parse_json(text))
+        data = Path(args.infile).read_bytes() if args.infile else _BENCH_JSON
+        item = jsonbridge.json_to_cbor(jsonbridge.parse_json(data))
         blob = cbor.encode(item)
         operations["encode"] = lambda: cbor.encode(item)
         operations["decode"] = lambda: cbor.decode(blob)
@@ -458,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
 _INPUT_ERRORS = (
     CliError,
     OSError,
-    UnicodeDecodeError,
     cbor.CborError,
     jsonbridge.JsonBridgeError,
     taxonomy.TaxonomyError,

@@ -87,6 +87,10 @@ class TypeMismatch(DnsPackedError):
     pass
 
 
+class ExpansionLimit(DnsPackedError):
+    """An unpack's references would build more than ``MAX_EXPANSION``."""
+
+
 # Fixed numbers, not IANA assignments.  Simple(i) references table index i
 # below SIMPLE_REF_LIMIT; VALUE_TAG carries the index less the limit.
 ENVELOPE_TAG = 113
@@ -96,6 +100,8 @@ PREFIX_TAG = 217
 SIMPLE_REF_LIMIT = 16
 MIN_PREFIX_LEN = 3
 _REFERENCE_TAGS = frozenset((VALUE_TAG, SUFFIX_TAG, PREFIX_TAG))
+# Characters and bytes one unpack's suffix and prefix references may build.
+MAX_EXPANSION = 16 * 1024 * 1024
 
 
 @dataclass
@@ -428,62 +434,67 @@ def _rebuild(item: CborItem, rewrites: dict[object, _Admission]) -> CborItem:
 
 def unpack(env: PackedEnvelope) -> CborItem:
     resolved: list[CborItem] = []
-    for entry in env.table:
-        resolved.append(_resolve(entry, resolved, in_table=True))
-    return _resolve(env.rump, resolved, in_table=False)
+    budget = [MAX_EXPANSION]
+    try:
+        for entry in env.table:
+            resolved.append(_resolve(entry, resolved, budget))
+    except IndexOutOfRange as exc:
+        raise ForwardReference("table entry %d: %s" % (len(resolved), exc)) from exc
+    return _resolve(env.rump, resolved, budget)
 
 
-def _lookup(table: list[CborItem], index: int, in_table: bool) -> CborItem:
+def _lookup(table: list[CborItem], index: int) -> CborItem:
     if index >= len(table):
-        if in_table:
-            raise ForwardReference("table entry references index %d at or past itself" % index)
         raise IndexOutOfRange("reference %d but table holds %d entries" % (index, len(table)))
     return table[index]
 
 
-def _resolve(item: CborItem, table: list[CborItem], in_table: bool) -> CborItem:
+def _resolve(item: CborItem, table: list[CborItem], budget: list[int]) -> CborItem:
     kind = type(item)
     if kind is Array:
-        return Array([_resolve(c, table, in_table) for c in item.items])
+        return Array([_resolve(c, table, budget) for c in item.items])
     if kind is Simple and item.value < SIMPLE_REF_LIMIT:
-        return _lookup(table, item.value, in_table)
+        return _lookup(table, item.value)
     if kind is Tag:
         if item.number == VALUE_TAG:
             content = item.content
             if not isinstance(content, Uint):
                 raise TypeMismatch("value reference must carry an unsigned index")
-            return _lookup(table, content.value + SIMPLE_REF_LIMIT, in_table)
-        if item.number == SUFFIX_TAG:
-            head, index = _ref_pair(item.content, first_text=True)
-            target = _lookup(table, index, in_table)
-            if not isinstance(target, Text):
-                raise TypeMismatch("suffix reference to a non-text entry")
-            return Text(head + target.data)
-        if item.number == PREFIX_TAG:
-            tail, index = _ref_pair(item.content, first_text=False)
-            target = _lookup(table, index, in_table)
-            if not isinstance(target, Bytes):
-                raise TypeMismatch("prefix reference to a non-bytes entry")
-            return Bytes(target.data + tail)
-        return Tag(item.number, _resolve(item.content, table, in_table))
+            return _lookup(table, content.value + SIMPLE_REF_LIMIT)
+        if item.number == SUFFIX_TAG or item.number == PREFIX_TAG:
+            return _join(item, table, budget)
+        return Tag(item.number, _resolve(item.content, table, budget))
     if kind is Map:
         return Map(
             [
-                (_resolve(k, table, in_table), _resolve(v, table, in_table))
+                (_resolve(k, table, budget), _resolve(v, table, budget))
                 for k, v in item.entries
             ]
         )
     return item
 
 
-def _ref_pair(content: CborItem, first_text: bool):
+def _join(ref: Tag, table: list[CborItem], budget: list[int]) -> CborItem:
+    """The string a suffix or prefix reference builds, taken from ``budget``."""
+    content = ref.content
     if not isinstance(content, Array) or len(content.items) != 2:
         raise TypeMismatch("reference tag must carry a two-element array")
     a, b = content.items
-    if first_text:
+    if ref.number == SUFFIX_TAG:
         if not isinstance(a, Text) or not isinstance(b, Uint):
             raise TypeMismatch("suffix reference must be [head text, index]")
-        return a.data, b.value
-    if not isinstance(a, Uint) or not isinstance(b, Bytes):
-        raise TypeMismatch("prefix reference must be [index, tail bytes]")
-    return b.data, a.value
+        target = _lookup(table, b.value)
+        if not isinstance(target, Text):
+            raise TypeMismatch("suffix reference to a non-text entry")
+        joined = Text(a.data + target.data)
+    else:
+        if not isinstance(a, Uint) or not isinstance(b, Bytes):
+            raise TypeMismatch("prefix reference must be [index, tail bytes]")
+        target = _lookup(table, a.value)
+        if not isinstance(target, Bytes):
+            raise TypeMismatch("prefix reference to a non-bytes entry")
+        joined = Bytes(target.data + b.data)
+    budget[0] -= len(joined.data)
+    if budget[0] < 0:
+        raise ExpansionLimit("references build more than %d characters and bytes" % MAX_EXPANSION)
+    return joined

@@ -1,9 +1,11 @@
 """Shared builders: integers and rdata, random CBOR items, random DNS
-messages, pcap files."""
+messages, pcap files; and the check that a batch command's stderr counts
+what it names."""
 
 from __future__ import annotations
 
 import random
+import re
 import string
 import struct
 
@@ -257,3 +259,32 @@ def build_pcap(frames: list[bytes], swapped: bool = False, linktype: int = 1) ->
         out += struct.pack(endian + "IIII", 1700000000 + i, i * 1000, len(frame), len(frame))
         out += frame
     return bytes(out)
+
+
+def reconcile_stderr(err: list[str]) -> dict[str, int]:
+    """Each noun's skip count on a batch command's stderr, checked against
+    the lines that name the skips.  A count line ``<n> <noun>(s) skipped``
+    follows exactly n lines ``<label> skipped: <Class>: <text>``, each
+    labelled ``<noun> N`` (a file by its name).  A ``pcap:`` line counts
+    every packet once, and its undecodable ones are the packet skips."""
+    counts: dict[str, int] = {}
+    named: list[str] = []
+    for line in err:
+        count = re.fullmatch(r"(\d+) (\w+)\(s\) skipped", line)
+        pcap = re.fullmatch(r"pcap: (\d+) packets, (\d+) decoded, (\d+) non-DNS, "
+                            r"(\d+) undecodable, \d+ IPv6 extension header\(s\)", line)
+        if count:
+            noun = count[2]
+            assert named and int(count[1]) == len(named), line
+            label = r"\S+" if noun == "file" else r"%s \d+" % noun
+            assert all(re.match(r"%s skipped: \w+: " % label, skip) for skip in named), named
+            counts[noun] = len(named)
+        elif pcap:
+            packets, decoded, non_dns, undecodable = (int(n) for n in pcap.groups())
+            assert packets == decoded + non_dns + undecodable, line
+            assert undecodable == counts.get("packet", 0), line
+        if " skipped: " in line:
+            named.append(line)
+        else:
+            named = []
+    return counts

@@ -218,9 +218,9 @@ def test_ingest_hex():
         "zz-not-hex",
         "0c",  # truncated message
     ]
-    records, errors = ingest_hex(lines)
+    records, skips = ingest_hex(lines)
     assert [r.message.is_response for r in records] == [False, True]
-    assert [e.line_no for e in errors] == [6, 7]
+    assert [label for label, _ in skips] == ["line 6", "line 7"]
 
 
 def test_pairing():
@@ -284,10 +284,9 @@ def make_query_response_wire():
 
 def _ingest(pcap):
     """``ingest_pcap``, checking that each packet is counted exactly once."""
-    records, stats = ingest_pcap(pcap)
-    assert stats.packets == stats.decoded + stats.skipped_non_dns + stats.decode_errors
-    assert stats.decoded == len(records)
-    return records, stats
+    records, skips, stats = ingest_pcap(pcap)
+    assert stats.packets == len(records) + stats.skipped_non_dns + len(skips)
+    return records, skips, stats
 
 
 def test_ingest_pcap_basic():
@@ -303,9 +302,9 @@ def test_ingest_pcap_basic():
         b"\x02" * 13,  # shorter than an Ethernet header
         later_fragment,  # a non-first IPv4 fragment carries no UDP header
     ]
-    records, stats = _ingest(build_pcap(frames))
+    records, skips, stats = _ingest(build_pcap(frames))
     assert stats.packets == 6
-    assert stats.decoded == 2
+    assert len(records) == 2
     assert stats.skipped_non_dns == 4
     assert [r.message.is_response for r in records] == [False, True]
     assert records[0].flow == records[1].flow  # symmetric 5-tuple
@@ -319,21 +318,21 @@ def test_ingest_pcap_swapped_and_v6():
         build_udp_frame(qwire, ipv6=True),
         build_udp_frame(rwire, ipv6=True, v6_ext=True, dport=5353, sport=5353),
     ]
-    records, stats = _ingest(build_pcap(frames, swapped=True))
-    assert stats.decoded == 2
+    records, skips, stats = _ingest(build_pcap(frames, swapped=True))
+    assert len(records) == 2
     assert stats.ipv6_extension_headers == 1
     assert not records[0].message.is_response
 
 
 def test_ingest_pcap_mdns_port():
     qwire, _ = make_query_response_wire()
-    records, stats = _ingest(build_pcap([build_udp_frame(qwire, sport=5353, dport=5353)]))
-    assert stats.decoded == 1
+    records, skips, stats = _ingest(build_pcap([build_udp_frame(qwire, sport=5353, dport=5353)]))
+    assert len(records) == 1
 
 
 def test_ingest_pcap_undecodable_counted():
-    records, stats = _ingest(build_pcap([build_udp_frame(b"\x00\x01", dport=53)]))
-    assert stats.decode_errors == 1 and not records
+    records, skips, stats = _ingest(build_pcap([build_udp_frame(b"\x00\x01", dport=53)]))
+    assert len(skips) == 1 and not records
 
 
 def test_ingest_pcap_errors():

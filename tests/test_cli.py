@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_pcap, build_udp_frame, random_message
+from conftest import build_pcap, build_udp_frame, random_message, reconcile_stderr
 import cborkit
 from cborkit import analysis, cbor
 from cborkit.cli import FLOAT_MODES, run
@@ -274,6 +274,94 @@ def test_pcap_extract_reports_ipv6_extension_headers(tmp_path, capsys):
     assert hex_out.read_text().split() == [qwire.hex(), qwire.hex()]
     assert capsys.readouterr().err.splitlines() == [
         "pcap: 2 packets, 2 decoded, 0 non-DNS, 0 undecodable, 1 IPv6 extension header(s)"]
+
+
+def _pcap_with_a_truncated_payload(tmp_path) -> Path:
+    qwire = encode_wire(DnsMessage(5, 0x0100,
+                                   [Question(Name.from_text("x.org"), TYPE_A, CLASS_IN)]))
+    frames = [
+        build_udp_frame(qwire),
+        build_udp_frame(b"payload", sport=40000, dport=9999),  # non-DNS UDP
+        build_udp_frame(qwire[:7], dport=53),  # a DNS header cut short
+    ]
+    capture = tmp_path / "trace.pcap"
+    capture.write_bytes(build_pcap(frames))
+    return capture
+
+
+@pytest.mark.parametrize("command", [["pcap", "extract"], ["dns", "compare"]])
+def test_an_undecodable_dns_payload_is_named_and_counted(tmp_path, capsys, command):
+    capture = _pcap_with_a_truncated_payload(tmp_path)
+    out = tmp_path / "out"
+    assert run(command + ["--in", str(capture), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == (1 if command[0] == "pcap" else 2)
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("packet 3 skipped: Truncated: ")
+    assert err[1:] == [
+        "1 packet(s) skipped",
+        "pcap: 3 packets, 1 decoded, 1 non-DNS, 1 undecodable, 0 IPv6 extension header(s)",
+    ]
+
+
+def test_the_pcap_line_comes_before_an_unwritable_out(tmp_path, capsys):
+    capture = _pcap_with_a_truncated_payload(tmp_path)
+    assert run(["pcap", "extract", "--in", str(capture), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[2].startswith("pcap: 3 packets, ") and err[3].startswith("error: ")
+
+
+def test_dns_compare_counts_every_skip_it_names_from_hex(tmp_path, capsys, monkeypatch):
+    rng = random.Random(17)
+    wires = [encode_wire(random_message(rng)) for _ in range(6)]
+    corpus = tmp_path / "corpus.hex"
+    corpus.write_text("zz\n" + "".join(wire.hex() + "\n" for wire in wires) + "0c\n# note\n7\n")
+    compare_modes = analysis.compare_modes
+
+    def failing_on_the_second(msg, *args):
+        if encode_wire(msg) == wires[1]:
+            raise KeyError("ttl")
+        return compare_modes(msg, *args)
+
+    monkeypatch.setattr(analysis, "compare_modes", failing_on_the_second)
+    out = tmp_path / "report.csv"
+    assert run(["dns", "compare", "--in", str(corpus), "--out", str(out)]) == 0
+    counts = reconcile_stderr(capsys.readouterr().err.splitlines())
+    assert counts == {"line": 3, "message": 1}
+    assert len(out.read_text().splitlines()) - 1 + counts["message"] == len(wires)
+
+
+def test_dns_compare_counts_every_skip_it_names_from_pcap(tmp_path, capsys):
+    capture = _pcap_with_a_truncated_payload(tmp_path)
+    out = tmp_path / "report.csv"
+    assert run(["dns", "compare", "--in", str(capture), "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert reconcile_stderr(err) == {"packet": 1}
+    decoded = int(re.search(r", (\d+) decoded,", err[-1])[1])
+    assert len(out.read_text().splitlines()) - 1 == decoded == 1
+
+
+@pytest.mark.parametrize("command", [["json", "to-cbor"], ["json", "minify"],
+                                     ["json", "blob-transform", "--step", "tag34"],
+                                     ["bench", "--target", "cbor", "--iterations", "1"]])
+def test_json_input_errors_are_at_file_byte_offsets(tmp_path, capsys, command):
+    source = tmp_path / "doc.json"
+    for data, error in ((b"[1,\r\n x]", "(at byte 6)"),
+                        (b"[1, \xff]", "invalid UTF-8: invalid start byte (at byte 4)")):
+        source.write_bytes(data)
+        assert run(command + ["--in", str(source)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].endswith(error)
+
+
+def test_json_analyze_skips_invalid_utf8_as_a_syntax_error(tmp_path, capsys):
+    (tmp_path / "a.json").write_bytes(b"[1, \xff]")
+    (tmp_path / "b.json").write_bytes(b"[1]")
+    out = tmp_path / "report.csv"
+    assert run(["json", "analyze", "--in", str(tmp_path), "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["b.json"]
+    assert capsys.readouterr().err.splitlines() == [
+        "a.json skipped: JsonSyntaxError: invalid UTF-8: invalid start byte (at byte 4)",
+        "1 file(s) skipped",
+    ]
 
 
 def test_bench_smoke(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """The decoder contract: whatever bytes a decoder is given, it returns a
 value or raises its module's declared error family.  And the CLI's: whatever
-input file and ``--out`` a command is given, ``cli.run`` returns 0, 1 or 2,
-and on 1 its last stderr line is the ``error:`` line.
+input file and ``--out`` a command is given, ``cli.run`` returns 0, 1 or 2;
+on 1 its last stderr line is the ``error:`` line, and on 0 every count of
+skipped inputs agrees with the skips its stderr names.
 
 Inputs are seed encodings with a few bytes overwritten, inserted or
 removed, or cut short.  Mutated wire messages that still decode are also
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_pcap, build_udp_frame, random_message
+from conftest import build_pcap, build_udp_frame, random_message, reconcile_stderr
 from cborkit import cbor, dnspacked
 from cborkit.cbor import Array, Bytes, CborError, CborItem, Text, Uint
 from cborkit.cli import run
@@ -262,6 +263,8 @@ def _run_cli(capsys, argv: list[str]) -> int:
     assert code in (0, 1, 2)
     if code == 1:
         assert err and err[-1].startswith("error: ")
+    if code == 0:
+        reconcile_stderr(err)
     return code
 
 

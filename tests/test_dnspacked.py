@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +10,13 @@ from hypothesis import strategies as st
 from conftest import random_item, random_message
 from cborkit import cbor, dnspacked
 from cborkit.analysis import compare_modes
+from cborkit.dnswire import decode_wire
 from cborkit.cbor import Array, Bytes, Map, Nint, Simple, Tag, Text, Uint
 from cborkit.dnscbor import CodecContext, ComponentRef, ROLE_QUERY, ROLE_RESPONSE, encode_message
 from cborkit.dnspacked import (
+    MAX_EXPANSION,
     AlreadyPacked,
+    ExpansionLimit,
     ForwardReference,
     IndexOutOfRange,
     PACKED_FULL,
@@ -224,6 +230,40 @@ def test_unpack_errors():
         unpack(PackedEnvelope([Text("x")], Tag(217, Array([Uint(0), Bytes(b"t")]))))
     with pytest.raises(TypeMismatch):
         unpack(PackedEnvelope([Text("x")], Tag(216, Array([Uint(0), Text("a")]))))
+
+
+def _chain(entries: int, head: str) -> PackedEnvelope:
+    """A table whose entry i (from 1) is ``216([head, i - 1])`` over the one
+    before it, so entry i builds (i + 1) * len(head) characters."""
+    table = [Text(head)] + [Tag(216, Array([Text(head), Uint(i - 1)])) for i in range(1, entries)]
+    return PackedEnvelope(table, Uint(0))
+
+
+def test_unpack_bounds_what_references_build():
+    head = "a" * 1024
+    built, entries = 0, 1
+    while built + (entries + 1) * len(head) <= MAX_EXPANSION:
+        built += (entries + 1) * len(head)
+        entries += 1
+    # One entry fewer builds at most the cap and unpacks; the next passes it.
+    assert unpack(_chain(entries, head)) == Uint(0)
+    with pytest.raises(ExpansionLimit):
+        unpack(_chain(entries + 1, head))
+    # Value references share their entry and build nothing.
+    env = PackedEnvelope([Text("a" * MAX_EXPANSION)], Array([Simple(0)] * 4))
+    assert unpack(env) == Array([Text("a" * MAX_EXPANSION)] * 4)
+
+
+def test_unpack_takes_the_largest_bench_messages():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look their module up by name
+    spec.loader.exec_module(corpus)
+    for msg in corpus.large_corpus(1, rounds=1)[0]:
+        item = encode_message(decode_wire(corpus.to_wire(msg)), CodecContext(role=ROLE_RESPONSE)).item
+        for mode in (PACKED_LITE, PACKED_FULL):
+            assert unpack(PackedEnvelope.from_bytes(pack(item, mode).encode())) == item
 
 
 def test_unpack_goldens():

@@ -16,7 +16,8 @@ size, ``compare_modes`` on the decoded messages, and
 ``cli.run(["dns", "compare", ...])`` on the batch's hex file.  On the
 ``json`` corpus (``json_corpus(seed, batches, rounds=3)``, one directory per
 batch) they are the four stages of ``json analyze`` on the batch's
-documents: ``parse_json``, ``json_to_cbor``, ``minify`` with its UTF-8
+documents: ``parse_json`` on each document's UTF-8 bytes, as ``json
+analyze`` reads them, ``json_to_cbor``, ``minify`` with its UTF-8
 length and ``classify``, and then ``cli.run(["json", "analyze", ...])`` on
 the directory.  On the ``roundtrip`` corpus (``small_corpus(seed, batches,
 exchanges=50)``) each side makes the five encodings of every message as the
@@ -108,12 +109,12 @@ def _dns_layers(kit, wires: list[bytes], hexfile: Path, csvfile: Path) -> tuple[
     }, csvfile.read_bytes
 
 
-def _json_layers(kit, texts: list[str], directory: Path, csvfile: Path) -> tuple[dict, object]:
+def _json_layers(kit, documents: list[bytes], directory: Path, csvfile: Path) -> tuple[dict, object]:
     """The stages of ``json analyze`` over one batch, as functions of no
     arguments, and a function giving the CSV."""
     parse, convert, minify = kit.jsonbridge.parse_json, kit.jsonbridge.json_to_cbor, kit.jsonbridge.minify
     classify, utf8 = kit.taxonomy.classify, kit.cbor.utf8
-    values = [parse(text) for text in texts]
+    values = [parse(data) for data in documents]
     items = [convert(value) for value in values]
     sizes = [len(utf8(minify(value))) for value in values]
     argv = ["json", "analyze", "--in", str(directory), "--out", str(csvfile)]
@@ -123,7 +124,7 @@ def _json_layers(kit, texts: list[str], directory: Path, csvfile: Path) -> tuple
             raise SystemExit("pair: json analyze failed on %s" % directory)
 
     return {
-        "parse_json": lambda: [parse(text) for text in texts],
+        "parse_json": lambda: [parse(data) for data in documents],
         "json_to_cbor": lambda: [convert(value) for value in values],
         "minify": lambda: [len(utf8(minify(value))) for value in values],
         "classify": lambda: [classify(item, size) for item, size in zip(items, sizes)],
@@ -192,10 +193,11 @@ def _json_ops(corpus_module, seed: int, batches: int, sides: dict, work: Path) -
     for b, texts in enumerate(corpus_module.json_corpus(seed, batches=batches, rounds=3)):
         directory = work / ("b%02d" % b)
         directory.mkdir()
-        for j, text in enumerate(texts):
-            (directory / ("doc%02d.json" % j)).write_text(text, encoding="utf-8")
-        ops.append((len(texts), {
-            side: _json_layers(kit, texts, directory, work / ("b%02d-%s.csv" % (b, side)))
+        documents = [text.encode("utf-8") for text in texts]
+        for j, data in enumerate(documents):
+            (directory / ("doc%02d.json" % j)).write_bytes(data)
+        ops.append((len(documents), {
+            side: _json_layers(kit, documents, directory, work / ("b%02d-%s.csv" % (b, side)))
             for side, kit in sides.items()
         }))
     return ops
