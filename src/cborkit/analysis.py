@@ -1,6 +1,10 @@
 """Per-message size comparison, pairwise suffix/prefix statistics, and
 corpus ingestion from hex dumps or legacy pcap captures.
 
+The suffix statistics are streamed: ``write_suffix_csv`` writes each pair's
+row as it is made, so memory grows with the messages' names and addresses
+(``message_names``, ``message_addresses``), never with their pairs.
+
 The readers return each input they drop as a skip, ``(label, error)``:
 ``line N`` for a hex line (a ValueError, else the DnsWireError) and
 ``packet N``, counted from 1, for a UDP DNS payload that does not decode.
@@ -9,11 +13,11 @@ The readers return each input they drop as a skip, ``(label, error)``:
 from __future__ import annotations
 
 import csv
-import io
 import struct
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass, replace
+from itertools import combinations
+from typing import Iterable, NamedTuple, TextIO
 
 from . import cbor, dnscbor, dnspacked
 from .taxonomy import SavingsReport, compute_savings
@@ -97,27 +101,6 @@ def common_prefix_bytes(a: bytes, b: bytes) -> int:
     return n
 
 
-class NamePair(NamedTuple):
-    a: Name
-    b: Name
-    bytewise: int
-    component_labels: int
-    component_bytes: int
-    equal: bool
-
-
-class AddressPair(NamedTuple):
-    a: bytes
-    b: bytes
-    common_prefix: int
-
-
-@dataclass
-class MessagePairStats:
-    name_pairs: list[NamePair] = field(default_factory=list)
-    address_pairs: list[AddressPair] = field(default_factory=list)
-
-
 def message_names(msg: DnsMessage) -> list[Name]:
     """Question, owner, and structured-rdata names, in message order."""
     names = [q.name for q in msg.questions]
@@ -137,32 +120,6 @@ def message_addresses(msg: DnsMessage) -> list[bytes]:
         elif record.rtype == TYPE_AAAA and len(record.rdata) == 16:
             out.append(record.rdata)
     return out
-
-
-def message_pair_stats(msg: DnsMessage) -> MessagePairStats:
-    stats = MessagePairStats()
-    names = message_names(msg)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, b = names[i], names[j]
-            labels, joined = common_suffix_components(a, b)
-            stats.name_pairs.append(
-                NamePair(
-                    a,
-                    b,
-                    common_suffix_bytes(a, b),
-                    labels,
-                    joined,
-                    a.equals(b),
-                )
-            )
-    addresses = message_addresses(msg)
-    for i in range(len(addresses)):
-        for j in range(i + 1, len(addresses)):
-            a, b = addresses[i], addresses[j]
-            if len(a) == len(b):
-                stats.address_pairs.append(AddressPair(a, b, common_prefix_bytes(a, b)))
-    return stats
 
 
 @dataclass
@@ -410,28 +367,19 @@ SUFFIX_CSV_COLUMNS = (
 )
 
 
-def write_suffix_csv(stats_per_message: Iterable[tuple[int, MessagePairStats]]) -> str:
-    """One row per pair, from (message index, stats) pairs."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def write_suffix_csv(
+    out: TextIO, messages: Iterable[tuple[int, tuple[list[Name], list[bytes]]]]
+) -> None:
+    """Write one row per pair to ``out`` as it is made, from (message index,
+    (names, addresses)) pairs; addresses pair within one family only."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SUFFIX_CSV_COLUMNS.split(","))
-    for index, stats in stats_per_message:
-        for pair in stats.name_pairs:
-            writer.writerow(
-                [
-                    index,
-                    "name",
-                    pair.a.to_text(),
-                    pair.b.to_text(),
-                    pair.bytewise,
-                    pair.component_labels,
-                    pair.component_bytes,
-                    "",
-                    1 if pair.equal else 0,
-                ]
-            )
-        for pair in stats.address_pairs:
-            writer.writerow(
-                [index, "address", pair.a.hex(), pair.b.hex(), "", "", "", pair.common_prefix, ""]
-            )
-    return buffer.getvalue()
+    for index, (names, addresses) in messages:
+        for a, b in combinations(names, 2):
+            labels, joined = common_suffix_components(a, b)
+            writer.writerow([index, "name", a.to_text(), b.to_text(), common_suffix_bytes(a, b),
+                             labels, joined, "", 1 if a.equals(b) else 0])
+        for a, b in combinations(addresses, 2):
+            if len(a) == len(b):
+                prefix = common_prefix_bytes(a, b)
+                writer.writerow([index, "address", a.hex(), b.hex(), "", "", "", prefix, ""])

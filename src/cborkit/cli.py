@@ -8,6 +8,7 @@ input errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -71,13 +72,21 @@ def _write_output(data: bytes, out: str | None, as_hex: bool) -> None:
         sys.stdout.write(data.hex() + "\n")
 
 
-def _write_text(text: str, out: str | None) -> None:
-    # A lone surrogate (valid JSON escape) raises InvalidUtf8 before any output.
-    data = cbor.utf8(text)
+@contextlib.contextmanager
+def _text_out(out: str | None):
+    """The stream text output goes to: ``--out`` as UTF-8, line ends as
+    written, else stdout."""
     if out:
-        Path(out).write_bytes(data)
+        with open(out, "w", encoding="utf-8", newline="") as stream:
+            yield stream
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        yield sys.stdout
+
+
+def _write_text(text: str, out: str | None) -> None:
+    cbor.utf8(text)  # a lone surrogate (valid JSON escape) raises InvalidUtf8 before any output
+    with _text_out(out) as stream:
+        stream.write(text if out or text.endswith("\n") else text + "\n")
 
 
 def _load_cbor_input(path: str, as_hex: bool) -> bytes:
@@ -264,8 +273,10 @@ def _cmd_dns_compare(args) -> int:
 
 def _cmd_dns_suffix_stats(args) -> int:
     messages = [record.message for record in _load_corpus(args.infile)]
-    stats = _run_batch(analysis.message_pair_stats, messages, "message")
-    _write_text(analysis.write_suffix_csv(stats.items()), args.out)
+    per_message = _run_batch(lambda msg: (analysis.message_names(msg), analysis.message_addresses(msg)),
+                             messages, "message")
+    with _text_out(args.out) as out:
+        analysis.write_suffix_csv(out, per_message.items())
     return 0
 
 

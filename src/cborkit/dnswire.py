@@ -410,8 +410,17 @@ def pack_rdata(rtype: int, fields: RdataFields) -> bytes:
         raise FieldOverflow("rdata field: %s" % exc) from exc
 
 
+def _message_length(length: int) -> int:
+    """``length``, if a message may have it: RFC 1035 section 4.2.2 frames
+    a message with a 16-bit length."""
+    if length > 0xFFFF:
+        raise SectionOverflow("message of %d bytes exceeds 65535" % length)
+    return length
+
+
 def decode_wire(data: bytes) -> DnsMessage:
     data = bytes(data)  # label slices are then bytes, whatever was passed
+    _message_length(len(data))
     if len(data) < _HEADER_LEN:
         raise Truncated("message shorter than the 12-byte header")
     msg_id, flags, qd, an, ns, ar = _HEADER.unpack_from(data)
@@ -531,6 +540,7 @@ def encode_wire(msg: DnsMessage, compress: bool = True) -> bytes:
             _POINTER.pack_into(out, start - 2, len(out) - start)
     except struct.error as exc:
         raise FieldOverflow("message field: %s" % exc) from exc
+    _message_length(len(out))
     return bytes(out)
 
 
@@ -559,7 +569,7 @@ def wire_size(msg: DnsMessage) -> int:
                 raise FieldOverflow("rdata length %d does not fit 16 bits" % (at - start))
     except struct.error as exc:
         raise FieldOverflow("message field: %s" % exc) from exc
-    return at
+    return _message_length(at)
 
 
 def name_rdata(text: str) -> bytes:

@@ -246,19 +246,18 @@ def _number_to_cbor(
     number: JsonNumber, float_mode: str, report: list[str] | None
 ) -> CborItem:
     if number.is_integer:
-        v = int(number.lexeme)
-        if 0 <= v <= _UINT64_MAX:
-            return Uint(v)
-        if _INT_MIN <= v < 0:
-            return Nint(-1 - v)
+        # A JSON integer has no leading zeros and 2**64 has 20 digits, so a
+        # lexeme longer than 21 characters is out of range; it never reaches
+        # int(), which refuses more than 4,300 digits.
+        if len(number.lexeme) <= 21:
+            v = int(number.lexeme)
+            if 0 <= v <= _UINT64_MAX:
+                return Uint(v)
+            if _INT_MIN <= v < 0:
+                return Nint(-1 - v)
         if report is not None:
             report.append("integer %s outside 64-bit range became a float" % number.lexeme)
-        try:
-            f = float(v)
-        except OverflowError:
-            f = float("inf") if v > 0 else float("-inf")
-    else:
-        f = float(number.lexeme)
+    f = float(number.lexeme)  # correctly rounded, as float(int) is; inf past the double range
     width = cbor.smallest_float_width(f) if float_mode == cbor.FLOAT_SMALLEST else 64
     return Float(f, width)
 

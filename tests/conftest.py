@@ -201,6 +201,15 @@ def random_message(rng: random.Random, response: bool | None = None) -> DnsMessa
     return DnsMessage(0, flags, [Question(qname, qtype, qclass)], *sections)
 
 
+def txt_response_wire(*lengths: int) -> bytes:
+    """A response for the root's TXT records, built without ``encode_wire``
+    so that it may be longer than a message may be: 17 bytes, then an
+    answer of 11 bytes and its rdata for each length."""
+    head = struct.pack(">6H", 0, 0x8180, 1, len(lengths), 0, 0) + b"\x00" + struct.pack(">HH", TYPE_TXT, CLASS_IN)
+    return head + b"".join(b"\x00" + struct.pack(">HHIH", TYPE_TXT, CLASS_IN, 60, n) + b"x" * n
+                             for n in lengths)
+
+
 def sum16(data: bytes) -> int:
     if len(data) % 2:
         data += b"\x00"

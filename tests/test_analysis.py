@@ -1,5 +1,9 @@
+import csv
+import io
+import os
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -11,7 +15,6 @@ from conftest import (
 )
 from cborkit.analysis import (
     MODES,
-    AddressPair,
     BadMagic,
     FamilyMismatch,
     ModeComparison,
@@ -24,7 +27,8 @@ from cborkit.analysis import (
     encode_in_mode,
     ingest_hex,
     ingest_pcap,
-    message_pair_stats,
+    message_addresses,
+    message_names,
     pair_queries_responses,
     write_csv,
     write_suffix_csv,
@@ -91,17 +95,25 @@ def cname_referral_response():
     )
 
 
-def test_message_pair_stats_referral():
-    stats = message_pair_stats(cname_referral_response())
+def suffix_rows(*messages: DnsMessage) -> list[list[str]]:
+    """The data rows ``write_suffix_csv`` writes for ``messages``."""
+    out = io.StringIO()
+    write_suffix_csv(out, enumerate((message_names(m), message_addresses(m)) for m in messages))
+    rows = list(csv.reader(out.getvalue().splitlines()))
+    assert rows[0] == "message,kind,a,b,bytewise_suffix,component_labels,component_bytes,prefix_bytes,equal".split(",")
+    return rows[1:]
+
+
+def test_suffix_rows_of_a_referral():
+    rows = suffix_rows(cname_referral_response())
     # names: question, answer owner, answer rdata, additional owner
-    assert len(stats.name_pairs) == 6
-    equal_pairs = [p for p in stats.name_pairs if p.equal]
+    assert len(rows) == 6 and all(row[1] == "name" for row in rows)
+    equal_pairs = [row for row in rows if row[8] == "1"]
     assert len(equal_pairs) == 2
-    assert all(p.bytewise >= p.component_bytes for p in stats.name_pairs)
-    assert stats.address_pairs == []
+    assert all(int(row[4]) >= int(row[6]) for row in rows)  # bytewise >= component bytes
 
 
-def test_message_pair_stats_addresses():
+def test_suffix_rows_of_addresses():
     msg = DnsMessage(
         0, 0x8180,
         [Question(Name.from_text("x.org"), TYPE_A, CLASS_IN)],
@@ -111,17 +123,15 @@ def test_message_pair_stats_addresses():
             ResourceRecord(Name.from_text("x.org"), TYPE_AAAA, CLASS_IN, 60, bytes(16)),
         ],
     )
-    stats = message_pair_stats(msg)
     # the v4/v6 mix contributes no cross-family pair
-    assert stats.address_pairs == [
-        AddressPair(bytes([198, 51, 100, 35]), bytes([198, 51, 100, 36]), 3)
+    assert [row for row in suffix_rows(msg) if row[1] == "address"] == [
+        ["0", "address", "c6336423", "c6336424", "", "", "", "3", ""]
     ]
 
 
 def test_single_question_query_has_no_pairs():
     msg = DnsMessage(0, 0x0100, [Question(Name.from_text("solo.org"), TYPE_A, CLASS_IN)])
-    stats = message_pair_stats(msg)
-    assert stats.name_pairs == [] and stats.address_pairs == []
+    assert suffix_rows(msg) == []
 
 
 def test_compare_modes_orderings():
@@ -266,10 +276,25 @@ def test_write_csv_formatting():
 
 
 def test_suffix_csv():
-    text = write_suffix_csv(enumerate([message_pair_stats(cname_referral_response())]))
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("message,kind,a,b,")
-    assert len(lines) == 7
+    rows = suffix_rows(cname_referral_response(), cname_referral_response())
+    assert [row[0] for row in rows] == ["0"] * 6 + ["1"] * 6
+
+
+def test_suffix_csv_is_written_as_it_is_made():
+    # 301 names and 300 addresses make 89,850 rows, about 3.6 MB of CSV;
+    # a whole-CSV string or a list of pairs alone would pass that.
+    answers = [ResourceRecord(Name.from_text("www.example.org"), TYPE_A, CLASS_IN, 60,
+                              struct.pack(">I", i)) for i in range(300)]
+    msg = DnsMessage(0, 0x8180, [Question(Name.from_text("www.example.org"))], answers=answers)
+    items = [(0, (message_names(msg), message_addresses(msg)))]
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w", encoding="utf-8", newline="") as out:
+            write_suffix_csv(out, items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6 * 2**20
 
 
 def make_query_response_wire():
@@ -380,8 +405,6 @@ def test_crafted_redundant_suffix_message_inflates_unpacked():
 
 
 def test_suffix_csv_quotes_labels_with_commas():
-    import csv
-
     msg = DnsMessage(
         0, 0x8180,
         [Question(Name.from_text("a,b.com"), TYPE_A, CLASS_IN)],
@@ -390,7 +413,8 @@ def test_suffix_csv_quotes_labels_with_commas():
             ResourceRecord(Name.from_text('x"y.com'), TYPE_A, CLASS_IN, 60, bytes([1, 2, 3, 4])),
         ],
     )
-    rows = list(csv.reader(write_suffix_csv(enumerate([message_pair_stats(msg)])).splitlines()))
-    assert len(rows) == 1 + 3 + 1  # header, three name pairs, one address pair
+    rows = suffix_rows(msg)
+    assert len(rows) == 3 + 1  # three name pairs, one address pair
     assert all(len(row) == 9 for row in rows)
-    assert rows[1][2:4] == ["a,b.com", "a,b.com"]
+    assert rows[0][2:4] == ["a,b.com", "a,b.com"]
+    assert rows[1][3] == 'x\\"y.com'  # presentation form, quoted for CSV

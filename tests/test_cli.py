@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_pcap, build_udp_frame, random_message, reconcile_stderr
+from conftest import build_pcap, build_udp_frame, random_message, reconcile_stderr, txt_response_wire
 import cborkit
 from cborkit import analysis, cbor
 from cborkit.cli import FLOAT_MODES, run
-from cborkit.dnscbor import CodecContext, ROLE_QUERY
+from cborkit.dnscbor import CodecContext, ROLE_QUERY, ROLE_RESPONSE
 from cborkit.jsonbridge import JsonNumber, JsonObject, json_to_cbor, minify, parse_json
 from cborkit.dnswire import (
     CLASS_IN,
@@ -25,6 +25,7 @@ from cborkit.dnswire import (
     ResourceRecord,
     TYPE_A,
     TYPE_CNAME,
+    TYPE_TXT,
     decode_wire,
     encode_wire,
     name_rdata,
@@ -246,6 +247,58 @@ def test_dns_suffix_stats(tmp_path):
     out = tmp_path / "suffix.csv"
     assert run(["dns", "suffix-stats", "--in", str(corpus), "--out", str(out)]) == 0
     assert len(out.read_text().strip().split("\n")) == 7
+
+
+def test_dns_suffix_stats_prints_what_out_writes(tmp_path, capsys):
+    msg = DnsMessage(0, 0x8180, [Question(Name.from_text("a,b.café.org"))],
+                     answers=[ResourceRecord(Name.from_text('x"y.café.org'), TYPE_A, CLASS_IN, 60, bytes(4))])
+    corpus = tmp_path / "corpus.hex"
+    corpus.write_text("".join(encode_wire(m).hex() + "\n" for m in (cname_referral_response(), msg)))
+    out = tmp_path / "suffix.csv"
+    assert run(["dns", "suffix-stats", "--in", str(corpus), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(["dns", "suffix-stats", "--in", str(corpus)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_dns_from_cbor_refuses_a_message_past_65535_bytes(tmp_path, capsys):
+    # 200 TXT records share one 60,000-byte rdata through one packed reference.
+    record = ResourceRecord(Name.from_text("a.example"), TYPE_TXT, CLASS_IN, 60, b"x" * 60000)
+    msg = DnsMessage(0, 0x8180, [Question(Name.from_text("a.example"), TYPE_TXT)], answers=[record] * 200)
+    envelope = analysis.encode_in_mode(msg, CodecContext(ROLE_RESPONSE), "packedfull").data
+    assert len(envelope) == 60824
+    source = tmp_path / "msg.cbor"
+    source.write_bytes(envelope)
+    out = tmp_path / "msg.bin"
+    assert run(["dns", "from-cbor", "--role", "r", "--mode", "packedfull",
+                "--in", str(source), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: message of 12002427 bytes exceeds 65535\n"
+    assert not out.exists()
+
+
+def test_dns_compare_skips_a_hex_line_past_65535_bytes(tmp_path, capsys):
+    corpus = tmp_path / "corpus.hex"
+    corpus.write_text("".join(wire.hex() + "\n" for wire in (
+        txt_response_wire(40000, 25496), txt_response_wire(40000, 25497))))
+    out = tmp_path / "report.csv"
+    assert run(["dns", "compare", "--in", str(corpus), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "line 2 skipped: SectionOverflow: message of 65536 bytes exceeds 65535", "1 line(s) skipped"]
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_an_integer_past_4300_digits_is_a_float(tmp_path, capsys, sign):
+    lexeme = sign + "1" * 5000
+    (tmp_path / "long.json").write_text("[%s]" % lexeme)
+    out = tmp_path / "long.cbor"
+    assert run(["json", "to-cbor", "--in", str(tmp_path / "long.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == bytes.fromhex("81f9fc00" if sign else "81f97c00")  # [-Infinity] / [Infinity]
+    assert capsys.readouterr().err == "note: integer %s outside 64-bit range became a float\n" % lexeme
+    report = tmp_path / "report.csv"
+    assert run(["json", "analyze", "--in", str(tmp_path), "--out", str(report)]) == 0
+    assert report.read_text().splitlines()[1].startswith("long.json,%d,4," % (len(lexeme) + 2))
+    assert capsys.readouterr().err == ""
 
 
 def test_pcap_extract_and_compare(tmp_path):
@@ -524,14 +577,14 @@ def test_dns_suffix_stats_skips_a_message_and_keeps_the_indices(tmp_path, capsys
     corpus.write_text("".join(encode_wire(msg).hex() + "\n" for msg in messages))
     full = tmp_path / "full.csv"
     assert run(["dns", "suffix-stats", "--in", str(corpus), "--out", str(full)]) == 0
-    message_pair_stats = analysis.message_pair_stats
+    message_names = analysis.message_names
 
     def failing_on_the_third(msg):
         if msg.id == 2:
             raise KeyError("labels")
-        return message_pair_stats(msg)
+        return message_names(msg)
 
-    monkeypatch.setattr(analysis, "message_pair_stats", failing_on_the_third)
+    monkeypatch.setattr(analysis, "message_names", failing_on_the_third)
     out = tmp_path / "report.csv"
     assert run(["dns", "suffix-stats", "--in", str(corpus), "--out", str(out)]) == 0
     rows = full.read_text().splitlines()

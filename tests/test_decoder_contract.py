@@ -5,7 +5,8 @@ on 1 its last stderr line is the ``error:`` line, and on 0 every count of
 skipped inputs agrees with the skips its stderr names.
 
 Inputs are seed encodings with a few bytes overwritten, inserted or
-removed, or cut short.  Mutated wire messages that still decode are also
+removed, or cut short; the CLI's JSON and hex inputs may instead grow past
+a size limit.  Mutated wire messages that still decode are also
 compared and round-tripped through every DNS mode.  The seeds come from a
 fixed random source, and hypothesis runs derandomized, so every run checks
 the same cases.
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_pcap, build_udp_frame, random_message, reconcile_stderr
+from conftest import build_pcap, build_udp_frame, random_message, reconcile_stderr, txt_response_wire
 from cborkit import cbor, dnspacked
 from cborkit.cbor import Array, Bytes, CborError, CborItem, Text, Uint
 from cborkit.cli import run
@@ -247,6 +248,18 @@ _CLI_FORMS = [
     (["pcap", "extract"], _PCAPS),
 ]
 _BENCH_SEEDS = {"json": _JSON, "cbor": _JSON, "dnswire": _WIRES, "dnscbor": _WIRES}
+_LONG_LINE = txt_response_wire(40000, 25497).hex().encode() + b"\n"  # a 65,536-byte message
+
+
+@st.composite
+def _grown(draw, seeds: list[bytes]) -> bytes:
+    """A seed grown past a size limit: a hex corpus gains a line longer than
+    a DNS message may be, and a JSON document goes into an array after an
+    integer of more digits than int() converts."""
+    seed = draw(st.sampled_from(seeds))
+    if seeds is _HEX_CORPUS:
+        return seed + _LONG_LINE
+    return b"[%s%s, %s]" % (draw(st.sampled_from([b"", b"-"])), b"1" * 5000, seed)
 
 
 def _cli_input(tmp_path, args: list[str], data: bytes) -> str:
@@ -289,5 +302,6 @@ def test_cli_contract(tmp_path, capsys, data):
             argv += ["--in", _cli_input(tmp_path, argv, data.draw(_mutated(_BENCH_SEEDS[target])))]
     else:
         out = data.draw(st.sampled_from([tmp_path / "out", tmp_path / "missing" / "out", tmp_path]))
-        argv = args + ["--in", _cli_input(tmp_path, args, data.draw(_mutated(seeds))), "--out", str(out)]
+        inputs = st.one_of(_mutated(seeds), _grown(seeds)) if seeds is _JSON or seeds is _HEX_CORPUS else _mutated(seeds)
+        argv = args + ["--in", _cli_input(tmp_path, args, data.draw(inputs)), "--out", str(out)]
     _run_cli(capsys, argv)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import a_rdata, mx_rdata, random_message, soa_rdata, srv_rdata
+from conftest import a_rdata, mx_rdata, random_message, soa_rdata, srv_rdata, txt_response_wire
 from test_decoder_contract import _FUZZ, _WIRES, _mutated
 from cborkit import dnswire
 from cborkit.analysis import compare_modes, message_names
@@ -385,6 +385,18 @@ def test_section_overflow():
         ResourceRecord(Name(()), 16, CLASS_IN, 0, b"x" * 65536)
 
 
+def test_a_message_is_at_most_65535_bytes():
+    # RFC 1035 section 4.2.2 frames a message with a 16-bit length.
+    msg = decode_wire(txt_response_wire(40000, 25496))
+    assert wire_size(msg) == len(encode_wire(msg)) == 0xFFFF
+    with pytest.raises(SectionOverflow, match="65536 bytes"):
+        decode_wire(txt_response_wire(40000, 25497))
+    msg.answers[1] = ResourceRecord(Name(()), TYPE_TXT, CLASS_IN, 60, b"x" * 25497)
+    for classic_size in (encode_wire, wire_size, compare_modes):
+        with pytest.raises(SectionOverflow, match="65536 bytes"):
+            classic_size(msg)
+
+
 _A_RECORD_TTL_2_32 = ResourceRecord(Name(()), TYPE_A, CLASS_IN, 2**32, b"\0" * 4)
 
 
@@ -430,9 +442,10 @@ def test_classic_size_raises_where_encode_wire_does(msg, error):
     for classic_size in (lambda: encode_wire(msg), lambda: wire_size(msg), lambda: compare_modes(msg)):
         with pytest.raises(error):
             classic_size()
-    # The largest rdata still fits.
-    msg = _rdata_reassigned(b"x" * 0xFFFF)
-    assert wire_size(msg) == len(encode_wire(msg))
+    # The largest message still fits: 12 header bytes, an 11-byte owner
+    # and 10 bytes of record fields around the rdata.
+    msg = _rdata_reassigned(b"x" * (0xFFFF - 33))
+    assert wire_size(msg) == len(encode_wire(msg)) == 0xFFFF
 
 
 def test_wire_size_is_the_length_of_encode_wire():

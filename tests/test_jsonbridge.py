@@ -206,6 +206,38 @@ def test_json_to_cbor_integer_overflow_flagged():
     assert not report
 
 
+# Integer lexemes past 64 bits, from 21 characters to past the 4,300 digits
+# int() converts, each with its float (the one float(int(lexeme)) gives, or
+# an infinity past a double's range) and that float's smallest width.
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "lexeme, value, width",
+    [
+        (str(-(2**64) - 1), -(2.0**64), 32),
+        (str(2**70), 2.0**70, 32),
+        ("9" * 22, 1e22, 64),
+        (str(2**1023), 2.0**1023, 64),
+        ("9" * 308, 1e308, 64),
+        ("9" * 309, _INF, 16),
+        ("1" * 4300, _INF, 16),
+        ("-" + "1" * 4299, -_INF, 16),
+        ("1" * 4301, _INF, 16),
+        ("-" + "7" * 5000, -_INF, 16),
+    ],
+    ids=lambda v: "%d chars" % len(v) if isinstance(v, str) else None,
+)
+@pytest.mark.parametrize("mode", FLOAT_MODES)
+def test_long_integer_lexemes_become_floats(lexeme, value, width, mode):
+    if len(lexeme) <= 4300 and abs(value) != _INF:
+        assert float(int(lexeme)) == value
+    report = []
+    item = json_to_cbor(parse_json(lexeme), mode, report)
+    assert item == cbor.Float(value, width if mode == cbor.FLOAT_SMALLEST else 64)
+    assert report == ["integer %s outside 64-bit range became a float" % lexeme]
+
+
 def test_cbor_to_json():
     assert cbor_to_json(Bytes(bytes.fromhex("c6336423"))) == "xjNkIw"
     # independent oracle: urlsafe base64 without padding
